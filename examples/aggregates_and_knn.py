@@ -69,7 +69,7 @@ def main() -> None:
         print(f"  {op:5s} = {value:,.2f}  (matches materialize-then-reduce)")
     print()
 
-    # -- kNN: expanding-ring search with FD translation, exact by contract
+    # -- kNN: best-first ring search with FD translation, exact by contract
     point = {"Distance": 700.0, "ArrTime": 900.0}
     neighbours = index.knn(point, 5)
     print("5 nearest flights to", point)

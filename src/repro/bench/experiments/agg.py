@@ -15,19 +15,23 @@ that claim on the Airline and OSM datasets (``BENCH_agg.json``):
   exactly, the float folds to 1e-9 — before any number is reported.
 * **kNN workload** — ``knn`` ring search vs the brute-force baseline
   (full-column distances + one exact ``lexsort``), verified id-for-id
-  including the ``(distance, row_id)`` tie-break.
+  including the ``(distance, row_id)`` tie-break: once on the COAX index
+  with two-attribute points, once on an 8-shard engine around whole rows
+  (the engine's bounded best-first search across shards).
 
 ``rows_examined`` is the honest work metric: the aggregate path counts
 only the rows it actually gathers (boundary cells), the baseline counts
 its materialised candidates.  ``smoke=True`` shrinks to CI scale and
 asserts the deterministic gate — for COUNT/SUM/AVG the pushdown examines
-at least :data:`SMOKE_EXAMINED_FACTOR` x fewer rows than the baseline —
-so a regression that silently reintroduces id materialisation (or breaks
-run coverage) fails the pipeline, not just a latency chart.
+at least :data:`SMOKE_EXAMINED_FACTOR` x fewer rows than the baseline, and
+so does the sharded full-row kNN against brute force — so a regression
+that silently reintroduces id materialisation (or breaks run coverage, or
+an unbounded kNN scan) fails the pipeline, not just a latency chart.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +40,8 @@ import numpy as np
 from repro.bench.experiments.datasets import airline_table, osm_table
 from repro.bench.reporting import ExperimentResult
 from repro.core.coax import COAXIndex
-from repro.core.config import COAXConfig
+from repro.core.config import COAXConfig, EngineConfig
+from repro.core.engine import ShardedCOAX
 from repro.data.executors import Aggregate
 from repro.data.predicates import Interval, Rectangle
 from repro.data.table import Table
@@ -54,6 +59,9 @@ FOLD_ONLY_OPS: Tuple[str, ...] = ("count", "sum", "avg")
 #: Smoke gate: pushdown must examine at least this factor fewer rows than
 #: materialize-then-reduce on the ~10% selectivity workload.
 SMOKE_EXAMINED_FACTOR = 5.0
+
+#: Shards of the engine the full-row kNN row runs on.
+KNN_SHARDS = 8
 
 #: Target selectivity of the aggregate rectangles.
 SELECTIVITY = 0.10
@@ -121,6 +129,47 @@ def _brute_knn(
         keys += diff * diff
     ids = np.arange(n, dtype=np.int64)
     return ids[np.lexsort((ids, keys))[:k]]
+
+
+def _knn_row(
+    dataset: str,
+    workload: str,
+    table: Table,
+    index,
+    points: List[Dict[str, float]],
+    k: int,
+    repeats: int,
+) -> Dict[str, object]:
+    """Time ``index.knn`` and brute force over ``points`` (best of
+    ``repeats`` each), verify them id for id, and report the row."""
+    brute = [_brute_knn(table, point, k) for point in points]
+    brute_seconds = np.inf
+    for _ in range(max(repeats, 1)):
+        start = time.perf_counter()
+        for point in points:
+            _brute_knn(table, point, k)
+        brute_seconds = min(brute_seconds, time.perf_counter() - start)
+    examined_before = index.stats.rows_examined
+    search_seconds = np.inf
+    for _ in range(max(repeats, 1)):
+        start = time.perf_counter()
+        found = [index.knn(point, k) for point in points]
+        search_seconds = min(search_seconds, time.perf_counter() - start)
+    examined = (index.stats.rows_examined - examined_before) // max(repeats, 1)
+    for got, want in zip(found, brute):
+        if not np.array_equal(got, want):
+            raise AssertionError(f"{workload} diverged from brute force on {dataset}")
+    return {
+        "dataset": dataset,
+        "workload": workload,
+        "queries": len(points),
+        "pushdown_s": round(search_seconds, 4),
+        "materialize_s": round(brute_seconds, 4),
+        "speedup": round(brute_seconds / max(search_seconds, 1e-9), 2),
+        "pushdown_rows_examined": int(examined),
+        "materialize_rows_examined": int(table.n_rows * len(points)),
+        "examined_ratio": round(table.n_rows * len(points) / max(examined, 1), 1),
+    }
 
 
 def run(
@@ -226,39 +275,38 @@ def run(
             {dim: float(np.asarray(table.column(dim))[row]) for dim in point_dims}
             for row in sample
         ]
-        brute = [_brute_knn(table, point, k_neighbours) for point in points]
-        brute_seconds = np.inf
-        for _ in range(max(repeats, 1)):
-            start = time.perf_counter()
-            for point in points:
-                _brute_knn(table, point, k_neighbours)
-            brute_seconds = min(brute_seconds, time.perf_counter() - start)
-        examined_before = index.stats.rows_examined
-        ring_seconds = np.inf
-        for _ in range(max(repeats, 1)):
-            start = time.perf_counter()
-            ring = [index.knn(point, k_neighbours) for point in points]
-            ring_seconds = min(ring_seconds, time.perf_counter() - start)
-        ring_examined = (index.stats.rows_examined - examined_before) // max(repeats, 1)
-        for got, want in zip(ring, brute):
-            if not np.array_equal(got, want):
-                raise AssertionError(f"kNN ring search diverged from brute force on {dataset}")
         rows.append(
-            {
-                "dataset": dataset,
-                "workload": f"knn:k={k_neighbours}",
-                "queries": len(points),
-                "pushdown_s": round(ring_seconds, 4),
-                "materialize_s": round(brute_seconds, 4),
-                "speedup": round(brute_seconds / max(ring_seconds, 1e-9), 2),
-                "pushdown_rows_examined": int(ring_examined),
-                "materialize_rows_examined": int(table.n_rows * len(points)),
-                "examined_ratio": round(
-                    table.n_rows * len(points) / max(ring_examined, 1), 1
-                ),
-            }
+            _knn_row(dataset, f"knn:k={k_neighbours}", table, index, points, k_neighbours, repeats)
         )
 
+        # Sharded kNN around whole rows: the engine's bounded best-first
+        # search (shards in hull-distance order, the k-th key carried
+        # into each) against the same brute force.
+        row_points = [
+            {dim: float(np.asarray(table.column(dim))[row]) for dim in table.schema}
+            for row in sample
+        ]
+        engine = ShardedCOAX(table, config=EngineConfig(n_shards=KNN_SHARDS))
+        try:
+            row = _knn_row(
+                dataset,
+                f"knn:k={k_neighbours}:shards={KNN_SHARDS}:full-row",
+                table,
+                engine,
+                row_points,
+                k_neighbours,
+                repeats,
+            )
+        finally:
+            engine.close()
+        rows.append(row)
+        if smoke and row["examined_ratio"] < SMOKE_EXAMINED_FACTOR:
+            gate_failures.append(
+                f"{dataset}/sharded kNN: examined ratio {row['examined_ratio']} < "
+                f"{SMOKE_EXAMINED_FACTOR}"
+            )
+
+    notes.append(f"host: {os.cpu_count()} cores (nproc)")
     notes.append(
         "aggregate pushdown verified against materialize-then-reduce per query "
         "(COUNT/MIN/MAX exactly, SUM/AVG to 1e-9); kNN verified id-for-id vs brute force"
@@ -266,11 +314,12 @@ def run(
     if smoke:
         if gate_failures:
             raise AssertionError(
-                "aggregate pushdown examined-rows gate failed: " + "; ".join(gate_failures)
+                "examined-rows gate failed: " + "; ".join(gate_failures)
             )
         notes.append(
             f"smoke mode: asserted pushdown examines >= {SMOKE_EXAMINED_FACTOR}x fewer "
-            "rows than materialize-then-reduce for COUNT/SUM/AVG"
+            "rows than materialize-then-reduce for COUNT/SUM/AVG, and the sharded "
+            "full-row kNN >= that factor fewer than brute force"
         )
 
     return ExperimentResult(

@@ -37,6 +37,7 @@ forever and compaction never renumbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,7 +59,7 @@ from repro.core.query_translation import (
     translate_query,
 )
 from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids
-from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
+from repro.data.executors import Aggregate, AggregatePartial, TopK, kth_key, merge_topk
 from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
@@ -71,6 +72,11 @@ from repro.indexes.uniform_grid import UniformGridIndex
 from repro.indexes.full_scan import FullScanIndex
 
 __all__ = ["COAXIndex", "COAXBuildReport", "learn_groups"]
+
+#: Relative pad added to an FD distance bound's slack: covers the rounding
+#: of the residuals the margins were measured with, at the magnitudes of
+#: the point's dependent value, the intercept and the predictor term.
+_FD_BOUND_PAD = 2.0**-32
 
 
 def learn_groups(
@@ -771,24 +777,25 @@ class COAXIndex(MultidimensionalIndex):
         )
         return partial
 
-    def _knn_aux_axes(self, point: Mapping[str, float]) -> Dict[int, Tuple[float, float, float]]:
-        """FD translation of the query point onto the primary's grid axes.
+    def _knn_aux_axes(self, point: Mapping[str, float]) -> Dict[str, Tuple[float, float, float]]:
+        """FD translation of the query point onto the primary's predictors.
 
-        For a predictor axis not in the point whose dependent *is* in the
+        For a predictor not in the point whose dependent *is* in the
         point, Equation 2's linear model yields a distance bound valid for
         every primary (inlier) row: with ``coordinate = (y - intercept) /
         slope``, ``|v_dep - y| >= |slope|·|v_pred - coordinate| - slack``
-        where ``slack = max(eps_lb, eps_ub)`` bounds the residual.  The
-        ring search uses it to seed and prune on axes the point never
-        names.  Spline models (no global slope) and near-flat slopes carry
-        no usable bound and are skipped.
+        where ``slack`` is ``max(eps_lb, eps_ub)`` (the residual bound)
+        plus a tiny pad for the rounding of the residuals at these
+        magnitudes.  The ring search uses it to seed and prune on grid
+        axes the point never names, and to cut cells to a sort-key window
+        when the predictor is the in-cell sort dimension.  Spline models
+        (no global slope) and near-flat slopes carry no usable bound and
+        are skipped.
         """
-        aux: Dict[int, Tuple[float, float, float]] = {}
-        grid_dims = self._primary.grid_dimensions
+        aux: Dict[str, Tuple[float, float, float]] = {}
         for group in self._groups:
-            if group.predictor not in grid_dims or group.predictor in point:
+            if group.predictor not in self._primary.dimensions or group.predictor in point:
                 continue
-            axis = grid_dims.index(group.predictor)
             for dependent in group.dependents:
                 if dependent not in point:
                     continue
@@ -796,26 +803,56 @@ class COAXIndex(MultidimensionalIndex):
                 slope = getattr(model, "slope", None)
                 if slope is None or abs(slope) < 1e-12:
                     continue
-                coordinate = (float(point[dependent]) - model.intercept) / slope
-                aux[axis] = (coordinate, abs(slope), max(model.eps_lb, model.eps_ub))
+                y = float(point[dependent])
+                coordinate = (y - model.intercept) / slope
+                rounding = _FD_BOUND_PAD * (
+                    abs(y) + abs(model.intercept) + abs(slope * coordinate)
+                )
+                aux[group.predictor] = (
+                    coordinate,
+                    abs(slope),
+                    max(model.eps_lb, model.eps_ub) + rounding,
+                )
                 break
         return aux
 
     def knn_partial(
-        self, point: Mapping[str, float], k: int, *, metric: str = "l2"
+        self,
+        point: Mapping[str, float],
+        k: int,
+        *,
+        metric: str = "l2",
+        bound: float = math.inf,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """kNN candidates merged across primary (ring search), outlier, delta."""
+        """kNN candidates merged across primary, outlier and delta.
+
+        The three parts are searched in that order and each one receives
+        the running k-th key of the parts merged before it (or ``bound``,
+        when smaller) as its own ``bound``, so the outlier and pending
+        scans only look for rows that can still enter the answer.  Rows
+        with a key above ``bound`` may be missing from the result (see
+        :meth:`SortedCellGridIndex.knn_partial
+        <repro.indexes.grid_file.SortedCellGridIndex.knn_partial>`).
+        """
+        TopK.knn(point, k, metric, self._columns)
         rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
         cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
         rings_before = self._primary.stats.rings_expanded + self._outlier.stats.rings_expanded
-        parts = [
-            self._primary.knn_partial(
-                point, k, metric=metric, aux_axes=self._knn_aux_axes(point)
-            ),
-            self._outlier.knn_partial(point, k, metric=metric),
-            self._delta.knn_candidates(point, k, metric),
-        ]
-        keys, ids = merge_topk(parts, k)
+        keys, ids = self._primary.knn_partial(
+            point, k, metric=metric, bound=bound, aux_axes=self._knn_aux_axes(point)
+        )
+        keys, ids = merge_topk(
+            [
+                (keys, ids),
+                self._outlier.knn_partial(
+                    point, k, metric=metric, bound=kth_key(keys, k, bound)
+                ),
+            ],
+            k,
+        )
+        keys, ids = merge_topk(
+            [(keys, ids), self._delta.knn_candidates(point, k, metric)], k
+        )
         rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
         cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
         rings_after = self._primary.stats.rings_expanded + self._outlier.stats.rings_expanded

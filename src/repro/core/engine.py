@@ -69,6 +69,7 @@ Design pillars
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import shutil
@@ -93,7 +94,14 @@ from repro.core.query_translation import (
     translated_predictor_interval,
 )
 from repro.core.results import merge_flat_row_ids, merge_row_ids, split_counter_evenly
-from repro.data.executors import Aggregate, AggregatePartial, TopK, merge_topk
+from repro.data.executors import (
+    Aggregate,
+    AggregatePartial,
+    TopK,
+    box_distance_key,
+    kth_key,
+    merge_topk,
+)
 from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.fd.groups import FDGroup, per_model_inlier_masks
@@ -1397,12 +1405,20 @@ class ShardedCOAX(MultidimensionalIndex):
         return scattered
 
     def knn_partial(
-        self, point: Mapping[str, float], k: int, *, metric: str = "l2"
+        self,
+        point: Mapping[str, float],
+        k: int,
+        *,
+        metric: str = "l2",
+        bound: float = math.inf,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """k nearest global ids: every shard's candidates, one exact merge."""
+        """k nearest global ids: a bounded best-first search over the shards
+        (see :meth:`_knn_locked`); rows keyed above ``bound`` may be left
+        out, as for any index's ``knn_partial``."""
         self._check_open()
+        spec = TopK.knn(point, k, metric, self._table.schema)
         with self._maintenance_guard():
-            keys, ids, _ = self._knn_locked(dict(point), k, metric)
+            keys, ids, _ = self._knn_locked(spec, bound)
         return keys, ids
 
     def knn_attributed(
@@ -1410,34 +1426,61 @@ class ShardedCOAX(MultidimensionalIndex):
     ) -> Tuple[np.ndarray, QueryStats]:
         """kNN result ids plus the query's own :class:`QueryStats`."""
         self._check_open()
+        spec = TopK.knn(point, k, metric, self._table.schema)
         with self._maintenance_guard():
-            _, ids, record = self._knn_locked(dict(point), k, metric)
+            _, ids, record = self._knn_locked(spec, math.inf)
         return ids, record
 
     def _knn_locked(
-        self, point: Dict[str, float], k: int, metric: str
+        self, spec: TopK, bound: float
     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        # kNN has no rectangle to prune shards with — a distance bound
-        # tight enough to skip a shard would need the very candidates the
-        # shard is asked for — so every shard runs its ring search and the
-        # gather keeps the k best (global-id tie-break; local id order
-        # equals global id order within a shard, so per-shard truncation
-        # never drops a tie winner).
+        # Best-first over shards: each shard's hulls (primary, outlier and,
+        # with pending rows, delta) give the smallest key any of its live
+        # rows can have.  Shards run in ascending order of that bound and
+        # each receives the running k-th key as its own bound, so the
+        # nearest shard's answer lets the others cut their search.  Once k
+        # candidates exist a shard whose bound is strictly above the k-th
+        # key holds no answer row and is skipped; on equality it is still
+        # visited, since a tied row with a smaller global id must win.
+        # The shards run serially by design: the carried bound is what
+        # prunes, and a shard started in parallel would not have it.
+        # Local id order equals global id order within a shard, so a
+        # shard's own truncation never drops a tie winner.
+        point, k, metric = dict(spec.point), spec.k, spec.metric
+        shard_bounds = [
+            min(
+                box_distance_key(point, shard.primary_box, metric),
+                box_distance_key(point, shard.outlier_box, metric),
+                box_distance_key(point, shard.delta.box, metric)
+                if shard.n_pending
+                else math.inf,
+            )
+            for shard in self._shards
+        ]
+        order = sorted(range(len(self._shards)), key=shard_bounds.__getitem__)
         gathered = QueryStats()
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for shard_no, shard in enumerate(self._shards):
+        keys = np.empty(0, dtype=np.float64)
+        ids = np.empty(0, dtype=np.int64)
+        visited = 0
+        for shard_no in order:
+            kth = kth_key(keys, k, bound)
+            if shard_bounds[shard_no] > kth:
+                break  # every later shard's bound is at least as large
+            visited += 1
+            shard = self._shards[shard_no]
             with shard.write_lock:
                 before = _stats_snapshot(shard.stats)
-                keys, local_ids = shard.knn_partial(point, k, metric=metric)
-                parts.append((keys, self._global_of[shard_no][local_ids]))
+                part_keys, local_ids = shard.knn_partial(point, k, metric=metric, bound=kth)
+                part_ids = self._global_of[shard_no][local_ids]
                 gathered.merge(_stats_delta(before, shard.stats))
-        keys, ids = merge_topk(parts, k)
+            keys, ids = merge_topk([(keys, ids), (part_keys, part_ids)], k)
         record = QueryStats(
             queries=1,
             rows_examined=gathered.rows_examined,
             rows_matched=len(ids),
             cells_visited=gathered.cells_visited,
             nodes_visited=gathered.nodes_visited,
+            shards_pruned=len(self._shards) - visited,
             knn_queries=1,
             rings_expanded=gathered.rings_expanded,
         )

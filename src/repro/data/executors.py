@@ -13,7 +13,8 @@ splits "which rows match" from "what the query consumes":
   partials component-wise, so an aggregate moves O(queries) accumulator
   data through the scatter-gather machinery instead of O(rows) ids.
 * :class:`TopK` — either k-nearest-neighbour by L2/L∞ distance around a
-  point (answered by expanding-ring search over the grid directory), or
+  point (answered by a bounded best-first search over the shards and the
+  grid directory), or
   the k smallest/largest rows by a column within a rectangle.  Partial
   results are small ``(key, row_id)`` candidate sets merged with
   :func:`merge_topk`; ties always break toward the smaller row id.
@@ -26,8 +27,9 @@ import them without cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +45,9 @@ __all__ = [
     "AggregatePartial",
     "select_topk",
     "merge_topk",
+    "kth_key",
     "point_distances",
+    "box_distance_key",
 ]
 
 #: Aggregate operations the :class:`Aggregate` executor supports.
@@ -107,6 +111,8 @@ class TopK:
     kind = "topk"
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if (self.point is None) == (self.column is None):
@@ -115,6 +121,37 @@ class TopK:
             raise ValueError(
                 f"metric must be one of {METRIC_CHOICES}, got {self.metric!r}"
             )
+        if self.point is not None:
+            for dim, value in self.point.items():
+                try:
+                    finite = math.isfinite(value)
+                except TypeError:
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"point coordinate {dim!r} must be a finite number, got {value!r}"
+                    )
+
+    @classmethod
+    def knn(
+        cls,
+        point: Mapping[str, float],
+        k: int,
+        metric: str,
+        attributes: Collection[str],
+    ) -> "TopK":
+        """Validated kNN spec over a structure holding ``attributes``.
+
+        The one input check every kNN entry point shares: the spec's own
+        checks (integer ``k >= 1``, a known metric, finite coordinates)
+        plus every point attribute being one the structure stores.  Each
+        failure is a :class:`ValueError`.
+        """
+        spec = cls(k, point=point, metric=metric)
+        unknown = [dim for dim in point if dim not in attributes]
+        if unknown:
+            raise ValueError(f"kNN point names unknown attributes {unknown}")
+        return spec
 
     @property
     def is_knn(self) -> bool:
@@ -328,6 +365,17 @@ def merge_topk(
     return select_topk(keys, ids, k, largest=largest)
 
 
+def kth_key(keys: np.ndarray, k: int, bound: float = math.inf) -> float:
+    """The key a further kNN candidate must not exceed to matter.
+
+    ``keys`` are the ordered keys of a running top-k; the answer is the
+    smaller of ``bound`` and the k-th key (``bound`` itself while fewer
+    than k candidates exist).  A row keyed strictly above it cannot enter
+    the answer; one keyed equal to it still can, by the row-id tie-break.
+    """
+    return min(bound, float(keys[k - 1])) if len(keys) >= k else bound
+
+
 def point_distances(
     columns: Mapping[str, np.ndarray],
     positions: Optional[np.ndarray],
@@ -361,3 +409,37 @@ def point_distances(
         n = len(next(iter(columns.values()))) if positions is None else len(positions)
         return np.zeros(n, dtype=np.float64)
     return keys.astype(np.float64, copy=False)
+
+
+def box_distance_key(
+    point: Mapping[str, float],
+    box: Optional[Tuple[Mapping[str, float], Mapping[str, float]]],
+    metric: str,
+) -> float:
+    """Smallest distance key any row inside ``box`` can have from ``point``.
+
+    ``box`` is a ``(lows, highs)`` hull (``None`` = no rows, key ``inf``).
+    Each per-attribute gap is the same subtraction
+    :func:`point_distances` does for the nearest hull edge, and the gaps
+    fold in the point's attribute order, so by monotone rounding the
+    bound never exceeds the key computed for a covered row — callers may
+    prune on ``bound > kth`` with no tolerance.
+    """
+    if box is None:
+        return math.inf
+    lows, highs = box
+    key = 0.0
+    for dim, target in point.items():
+        target = float(target)
+        low, high = float(lows[dim]), float(highs[dim])
+        if target < low:
+            gap = low - target
+        elif target > high:
+            gap = target - high
+        else:
+            continue
+        if metric == "l2":
+            key = key + gap * gap
+        else:
+            key = max(key, gap)
+    return key

@@ -33,6 +33,7 @@ Indexes are not free-threaded data structures; they follow a
 
 from __future__ import annotations
 
+import math
 import threading
 
 from abc import ABC, abstractmethod
@@ -99,9 +100,10 @@ class QueryStats:
       facade that answered it, never once per sub-index or shard.
     * ``knn_queries`` counts logical :class:`~repro.data.executors.TopK`
       queries (both kNN point searches and by-column top-k).
-    * ``rings_expanded`` counts grid-directory ring expansions performed by
-      kNN searches (one per widening of the visited cell box beyond the
-      seed cells); non-ring fallbacks contribute zero.
+    * ``rings_expanded`` counts grid-directory growth rounds performed by
+      kNN searches (one per round that grows the visited cell box beyond
+      the seed cells, by one cell on each of its nearest sides); non-ring
+      fallbacks contribute zero.
 
     Merge/split semantics of the per-op counters: :meth:`merge` sums all
     three exactly like every other counter (disjoint sub-index stats stay
@@ -603,22 +605,32 @@ class MultidimensionalIndex(ABC):
 
         Ordered by ``(distance, row_id)`` — ties always break toward the
         smaller row id, so results are reproducible across shardings and
-        against the full-scan oracle.
+        against the full-scan oracle.  A ``k`` below 1, an unknown metric,
+        a non-finite coordinate or an attribute the index does not store
+        raises :class:`ValueError`.
         """
         _, ids = self.knn_partial(point, k, metric=metric)
         return ids
 
     def knn_partial(
-        self, point: Mapping[str, float], k: int, *, metric: str = "l2"
+        self,
+        point: Mapping[str, float],
+        k: int,
+        *,
+        metric: str = "l2",
+        bound: float = math.inf,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Local kNN candidates as a mergeable ``(keys, ids)`` pair.
 
         Keys are monotone distance keys (squared L2 / L∞), so per-subset
         candidate sets merge exactly with
-        :func:`~repro.data.executors.merge_topk`.  The base implementation
-        scans every live row; grid subclasses override it with the
-        expanding-ring directory search.
+        :func:`~repro.data.executors.merge_topk`.  ``bound`` is a key some
+        other subset already holds k candidates within; an implementation
+        may leave out rows keyed above it.  The base implementation scans
+        every live row (and ignores ``bound``); grid subclasses override
+        it with the best-first directory search.
         """
+        TopK.knn(point, k, metric, self._columns)
         if self.n_rows == 0:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)

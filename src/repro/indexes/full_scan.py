@@ -16,6 +16,8 @@ cancel itself out.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.data.executors import Aggregate, AggregatePartial, TopK
@@ -78,13 +80,15 @@ class FullScanIndex(MultidimensionalIndex):
         self.stats.record_batch(0, aggregates=len(queries))
         return partial
 
-    def knn_partial(self, point, k: int, *, metric: str = "l2"):
+    def knn_partial(self, point, k: int, *, metric: str = "l2", bound: float = math.inf):
         """First-principles kNN: every live row's distance, one exact sort.
 
-        No candidate narrowing at all — ``lexsort`` over ``(id, key)``
-        realises the library-wide ``(distance, row_id)`` tie-break
-        directly, so the optimised ring searches are held to it exactly.
+        No candidate narrowing at all (``bound`` is ignored) — ``lexsort``
+        over ``(id, key)`` realises the library-wide ``(distance, row_id)``
+        tie-break directly, so the optimised ring searches are held to it
+        exactly.
         """
+        TopK.knn(point, k, metric, self._columns)
         if self.n_rows == 0:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)

@@ -19,11 +19,19 @@ The same structure doubles as the Column Files baseline (see
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.executors import Aggregate, AggregatePartial, point_distances, select_topk
+from repro.data.executors import (
+    Aggregate,
+    AggregatePartial,
+    TopK,
+    kth_key,
+    point_distances,
+    select_topk,
+)
 from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.indexes.base import IndexBuildError, MultidimensionalIndex, register_index
@@ -749,7 +757,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         return partial
 
     # ------------------------------------------------------------------
-    # kNN (expanding-ring search over the grid directory)
+    # kNN (best-first ring search over the grid directory)
     # ------------------------------------------------------------------
     def knn_partial(
         self,
@@ -757,78 +765,90 @@ class SortedCellGridIndex(MultidimensionalIndex):
         k: int,
         *,
         metric: str = "l2",
-        aux_axes: Optional[Dict[int, Tuple[float, float, float]]] = None,
+        bound: float = math.inf,
+        aux_axes: Optional[Dict[str, Tuple[float, float, float]]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Expanding-ring kNN over the grid directory.
+        """Best-first kNN over the grid directory.
 
         The search keeps an inclusive cell box per grid axis.  An axis is
-        *bounded* when the query point constrains it — directly (the axis
+        *bounded* when the query point constrains it — directly (the
         attribute is in the point) or through an FD translation supplied
-        as ``aux_axes[axis] = (coordinate, scale, slack)``, meaning every
-        covered row satisfies ``|v_dep - y| >= scale·|v_axis - coordinate|
+        as ``aux_axes[dim] = (coordinate, scale, slack)``, meaning every
+        covered row satisfies ``|v_dep - y| >= scale·|v_dim - coordinate|
         - slack`` for the point's dependent attribute ``y``.  Bounded axes
         seed at the coordinate's cell; information-less axes start at full
         span (a row outside the box on such an axis could be at distance
         zero, so they may never prune).
 
-        Each iteration scans the not-yet-visited cells of the box exactly
-        (true distances on the real columns), then compares the running
-        k-th distance key against ``d_min`` — the smallest distance any
-        row *outside* the box could have, the minimum over bounded axes of
-        the value gap between the point and the box edge's boundary
-        (squared for L2, matching the monotone keys).  The search stops
-        only when ``kth < d_min`` *strictly*: on equality an unvisited row
-        could tie the key with a smaller row id, and the library-wide
-        ``(key, row_id)`` tie-break must win.  Otherwise the box grows one
-        cell toward the nearer side per bounded axis (one
-        ``rings_expanded`` increment per growth round) until it covers the
-        directory.
+        Each box side of a bounded axis has a *scaled gap*: the smallest
+        distance any row beyond it could have (the value gap from the
+        point to that side's cell boundary, passed through the FD bound
+        for translated axes).  ``d_min`` is the smallest gap over all
+        sides.  One round (one ``rings_expanded`` increment) grows by one
+        cell every (axis, side) pair whose gap equals ``d_min`` — the
+        nearest unexplored slab first, so an axis with tight boundaries
+        never drags a wide axis to full span — and scans only the new
+        slab.  The search stops when ``min(kth, bound) < d_min`` holds
+        *strictly*, comparing distance keys (gaps squared for L2): on
+        equality an unvisited row could tie the key with a smaller row
+        id, and the library-wide ``(key, row_id)`` tie-break must win.
+
+        ``bound`` is a distance key some *other* subset already holds k
+        candidates within (the engine and COAX pass their running k-th
+        key): a row with a larger key cannot enter the merged answer, so
+        it both stops the growth and narrows the scans, and the result
+        may then hold fewer than k rows.  Once ``min(kth, bound)`` is
+        finite and the point fixes the in-cell sort dimension (directly or
+        through its ``aux_axes`` entry), every scanned cell is cut by
+        bisection to the sort-key window that radius allows, widened
+        outward so it is always a superset; ``rows_examined`` counts the
+        rows whose distance was computed.
         """
+        TopK.knn(point, k, metric, self._columns)
         if self.n_rows == 0:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        n_axes = len(self._grid_dimensions)
-        aux = dict(aux_axes or {})
-        # (coordinate, scale, slack) per bounded axis; None = information-less.
-        targets: List[Optional[Tuple[float, float, float]]] = []
-        for axis, dim in enumerate(self._grid_dimensions):
+        aux = aux_axes or {}
+
+        def target_of(dim: str) -> Optional[Tuple[float, float, float]]:
             if dim in point:
-                targets.append((float(point[dim]), 1.0, 0.0))
-            elif axis in aux:
-                targets.append(tuple(float(v) for v in aux[axis]))
-            else:
-                targets.append(None)
-        lo = np.zeros(max(n_axes, 1), dtype=np.int64)
-        hi = np.full(max(n_axes, 1), self._cells_per_dim - 1, dtype=np.int64)
-        for axis in range(n_axes):
-            target = targets[axis]
+                return (float(point[dim]), 1.0, 0.0)
+            return aux.get(dim)
+
+        targets = [target_of(dim) for dim in self._grid_dimensions]
+        sort_target = target_of(self._sort_dimension)
+        last = self._cells_per_dim - 1
+        lo = [0] * len(targets)
+        hi = [last] * len(targets)
+        for axis, target in enumerate(targets):
             if target is not None:
-                cell = int(
-                    np.clip(
-                        np.searchsorted(self._boundaries[axis], target[0], side="right") - 1,
-                        0,
-                        self._cells_per_dim - 1,
-                    )
-                )
-                lo[axis] = hi[axis] = cell
-        visited = np.zeros(self.n_cells, dtype=bool)
+                lo[axis] = hi[axis] = self._cell_range(axis, target[0], target[0])[0]
         best_keys = np.empty(0, dtype=np.float64)
         best_ids = np.empty(0, dtype=np.int64)
         rows_examined = 0
         cells_seen = 0
         rings = 0
+        slabs = [(list(lo), list(hi))]
         while True:
-            if n_axes:
-                cells = enumerate_cells(lo.tolist(), hi.tolist(), self._shape)
-            else:
-                cells = np.zeros(1, dtype=np.int64)
-            new_cells = cells[~visited[cells]]
-            visited[new_cells] = True
-            cells_seen += len(new_cells)
-            if len(new_cells):
-                gathered, _ = gather_ranges(
-                    self._offsets[new_cells], self._offsets[new_cells + 1]
-                )
+            for slab_lo, slab_hi in slabs:
+                cells = enumerate_cells(slab_lo, slab_hi, self._shape)
+                cells_seen += len(cells)
+                starts = self._offsets[cells]
+                stops = self._offsets[cells + 1]
+                radius = kth_key(best_keys, k, bound)
+                if sort_target is not None and math.isfinite(radius):
+                    # One bisection for both window ends: the first key >= low
+                    # and the first key > high (= the first >= its successor).
+                    low, high = _sort_key_window(sort_target, radius, metric)
+                    n = len(cells)
+                    ends = segment_bisect(
+                        self._sorted_keys,
+                        np.concatenate([starts, starts]),
+                        np.concatenate([stops, stops]),
+                        np.repeat([low, np.nextafter(high, math.inf)], n),
+                    )
+                    starts, stops = ends[:n], ends[n:]
+                gathered, _ = gather_ranges(starts, stops)
                 positions = self._row_order[gathered]
                 live_mask = live_candidate_mask(positions, self._tombstone)
                 if live_mask is not None:
@@ -841,47 +861,42 @@ class SortedCellGridIndex(MultidimensionalIndex):
                         np.concatenate([best_ids, self._row_ids[positions]]),
                         k,
                     )
-            # Smallest distance key any row outside the current box could
-            # carry, and which bounded axes can still grow (and which side
-            # of each is nearer).
-            d_min = np.inf
-            growable: List[Tuple[int, bool]] = []  # (axis, grow_left)
-            for axis in range(n_axes):
-                target = targets[axis]
+            # Scaled gap of every growable (axis, side) of the box.
+            sides: List[Tuple[float, int, int]] = []  # (gap, axis, -1 left / +1 right)
+            for axis, target in enumerate(targets):
                 if target is None:
                     continue
                 value, scale, slack = target
                 boundaries = self._boundaries[axis]
-                left_gap = (
-                    max(0.0, value - float(boundaries[lo[axis]]))
-                    if lo[axis] > 0
-                    else np.inf
-                )
-                right_gap = (
-                    max(0.0, float(boundaries[hi[axis] + 1]) - value)
-                    if hi[axis] < self._cells_per_dim - 1
-                    else np.inf
-                )
-                axis_gap = min(
-                    max(0.0, scale * left_gap - slack) if np.isfinite(left_gap) else np.inf,
-                    max(0.0, scale * right_gap - slack) if np.isfinite(right_gap) else np.inf,
-                )
-                d_min = min(d_min, axis_gap)
-                if lo[axis] > 0 or hi[axis] < self._cells_per_dim - 1:
-                    growable.append((axis, left_gap <= right_gap and lo[axis] > 0))
-            d_min_key = d_min * d_min if (metric == "l2" and np.isfinite(d_min)) else d_min
-            if len(best_ids) >= k and float(best_keys[k - 1]) < d_min_key:
+                if lo[axis] > 0:
+                    gap = max(0.0, value - float(boundaries[lo[axis]]))
+                    sides.append((max(0.0, scale * gap - slack), axis, -1))
+                if hi[axis] < last:
+                    gap = max(0.0, float(boundaries[hi[axis] + 1]) - value)
+                    sides.append((max(0.0, scale * gap - slack), axis, 1))
+            if not sides:
                 break
-            if not growable:
+            d_min = min(side[0] for side in sides)
+            d_min_key = d_min * d_min if metric == "l2" else d_min
+            radius = kth_key(best_keys, k, bound)
+            if radius < d_min_key:
                 break
             rings += 1
-            for axis, grow_left in growable:
-                if grow_left:
+            # Grow the nearest sides one cell each; every new slab is the
+            # box's fresh layer on that side, built on the box as grown so
+            # far, so the slabs of one round never overlap.
+            slabs = []
+            for gap, axis, direction in sides:
+                if gap != d_min:
+                    continue
+                slab_lo, slab_hi = list(lo), list(hi)
+                if direction < 0:
                     lo[axis] -= 1
-                elif hi[axis] < self._cells_per_dim - 1:
-                    hi[axis] += 1
+                    slab_lo[axis] = slab_hi[axis] = lo[axis]
                 else:
-                    lo[axis] -= 1
+                    hi[axis] += 1
+                    slab_lo[axis] = slab_hi[axis] = hi[axis]
+                slabs.append((slab_lo, slab_hi))
         self.stats.record(
             rows_examined=rows_examined,
             cells_visited=cells_seen,
@@ -922,3 +937,31 @@ class SortedCellGridIndex(MultidimensionalIndex):
     def cell_sizes(self) -> np.ndarray:
         """Number of records per cell (page-length distribution, Figure 4a)."""
         return np.diff(self._offsets)
+
+
+#: Outward widening of the kNN sort-key window, relative to its reach: far
+#: above the few ulps the distance arithmetic can round by.
+_WINDOW_PAD = 2.0**-40
+
+#: Absolute floor of the window's reach: an L2 gap below it squares to (or
+#: near) zero, so such rows must always fall inside the window.
+_WINDOW_FLOOR = 2.0**-500
+
+
+def _sort_key_window(
+    target: Tuple[float, float, float], radius: float, metric: str
+) -> Tuple[float, float]:
+    """Sort-key interval holding every row with distance key <= ``radius``.
+
+    ``target`` is ``(coordinate, scale, slack)``: a row whose sort key is
+    ``v`` is at distance at least ``scale·|v - coordinate| - slack``
+    (``(value, 1, 0)`` when the point names the sort dimension itself).
+    The reach is widened outward — relatively by :data:`_WINDOW_PAD` and
+    absolutely by :data:`_WINDOW_FLOOR` — so rounding in the keys, the
+    square root and the endpoints can only make the window larger.
+    """
+    coordinate, scale, slack = target
+    reach = math.sqrt(radius) if metric == "l2" else radius
+    half = (reach * (1.0 + _WINDOW_PAD) + _WINDOW_FLOOR + slack) / scale
+    half += _WINDOW_PAD * (abs(coordinate) + half)
+    return coordinate - half, coordinate + half

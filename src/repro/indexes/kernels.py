@@ -158,14 +158,15 @@ def enumerate_cells(
     """
     if not shape:
         return np.zeros(1, dtype=np.int64)
-    axes = [
-        np.arange(int(lo), int(hi) + 1, dtype=np.int64)
-        for lo, hi in zip(lo_cells, hi_cells)
-    ]
-    if len(axes) == 1:
-        return axes[0]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.ravel_multi_index([m.ravel() for m in mesh], shape).astype(np.int64)
+    if len(shape) == 1:
+        return np.arange(int(lo_cells[0]), int(hi_cells[0]) + 1, dtype=np.int64)
+    # Outer-product sum of each axis's strided cell offsets, outermost
+    # axis first, which is row-major order.
+    cells = np.zeros(1, dtype=np.int64)
+    for lo, hi, stride in zip(lo_cells, hi_cells, row_major_strides(shape)):
+        offsets = np.arange(int(lo), int(hi) + 1, dtype=np.int64) * stride
+        cells = (cells[:, None] + offsets).ravel()
+    return cells
 
 
 def enumerate_cells_batch(

@@ -254,9 +254,12 @@ def request_from_wire(message: Mapping[str, Any]) -> Tuple[Rectangle, Executor]:
             raise ProtocolError(
                 f"'metric' must be one of {METRIC_CHOICES}, got {metric!r}"
             )
-        spec = TopK(
-            _k_from_wire(message), point=_point_from_wire(message), metric=str(metric)
-        )
+        try:
+            spec = TopK(
+                _k_from_wire(message), point=_point_from_wire(message), metric=str(metric)
+            )
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
         return Rectangle.unconstrained(), spec
     raise ProtocolError(
         f"unknown op {op!r}; expected one of "

@@ -263,8 +263,9 @@ class TestAgg:
     def test_smoke_mode_structure_and_gates(self):
         """The driver's internal gates (per-query pushdown/baseline
         equality, exact kNN vs brute force, the >=5x examined-rows
-        advantage for COUNT/SUM/AVG) all hold at CI scale; the reported
-        rows are spot-checked for shape and the pushdown contrast."""
+        advantage for COUNT/SUM/AVG and for the sharded full-row kNN) all
+        hold at CI scale; the reported rows are spot-checked for shape
+        and the pushdown contrast."""
         result = agg.run(smoke=True)
         assert result.experiment == "agg"
         assert {row["dataset"] for row in result.rows} == {"Airline", "OSM"}
@@ -277,6 +278,10 @@ class TestAgg:
                     row["pushdown_rows_examined"] * agg.SMOKE_EXAMINED_FACTOR
                     <= row["materialize_rows_examined"]
                 )
+        sharded = [row for row in result.rows if row["workload"].endswith(":full-row")]
+        assert len(sharded) == 2
+        for row in sharded:
+            assert row["examined_ratio"] >= agg.SMOKE_EXAMINED_FACTOR
 
     def test_smoke_gate_raises_on_regression(self, monkeypatch):
         # Forcing the gate factor sky-high must trip the AssertionError —

@@ -71,6 +71,7 @@ def test_request_round_trip(executor):
         lambda m: m.update(op="aggregate", agg="sum"),  # missing column
         lambda m: m.update(op="knn", point={"x": 1.0}, k=0),
         lambda m: m.update(op="knn", point={"x": 1.0}, k=3, metric="cosine"),
+        lambda m: m.update(op="knn", point={"x": float("inf")}, k=3),
         lambda m: m.update(op="topk", k=2),  # missing column
     ],
 )
@@ -223,3 +224,24 @@ def test_served_stats_attribute_new_ops(engine):
     stats = asyncio.run(scenario())
     assert stats["aggregates"] == 1
     assert stats["knn_queries"] == 0
+
+
+def test_served_knn_stats_carry_pruned_shards(engine, airline_small):
+    # k=1 around an existing row: the k-th key is 0, so the shard whose
+    # hulls stay clear of the row is skipped and the response says so.
+    point = dict(airline_small.row(0))
+    _, direct = engine.knn_attributed(point, 1)
+    assert direct.shards_pruned >= 1
+
+    async def scenario():
+        async with CoalescingQueryServer(engine) as server:
+            async with await ServeClient.connect("127.0.0.1", server.port) as client:
+                result = await client.query(
+                    Rectangle.unconstrained(), TopK(1, point=point)
+                )
+                return result.stats
+
+    stats = asyncio.run(scenario())
+    assert stats["knn_queries"] == 1
+    assert stats["shards_pruned"] == direct.shards_pruned
+    assert stats["rows_examined"] == direct.rows_examined
