@@ -32,7 +32,7 @@ delta-store update benchmark (an alias of the ``updates`` experiment id);
 the delete/update benchmark against a delete-aware full-scan oracle;
 ``scale-bench`` runs the sharded-engine scaling benchmark (``scale``) over
 a ``--shards`` x ``--workers`` grid — ``--executor thread|process``
-selects the scatter backend; ``restart-bench`` times the v6 mmap cold
+selects the scatter backend; ``restart-bench`` times the v8 mmap cold
 start against the legacy npz copy-load (``restart``); ``drift-bench``
 runs the drifting
 insert stream comparing frozen vs adaptive FD models (``drift``), every

@@ -58,7 +58,7 @@ from repro.core.query_translation import (
     translate_bounds_batch,
     translate_query,
 )
-from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids
+from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids, unique_ids
 from repro.data.executors import Aggregate, AggregatePartial, TopK, kth_key, merge_topk
 from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
@@ -1331,7 +1331,7 @@ class COAXIndex(MultidimensionalIndex):
             tail[pending_ids[~updated] - n_rows] = values[~updated]
             columns[name] = np.concatenate([base, tail])
         combined = Table(columns)
-        survivors = np.union1d(self.live_row_ids(), pending_ids)
+        survivors = unique_ids(np.concatenate([self.live_row_ids(), pending_ids]))
         return COAXIndex(
             combined,
             config=self._config,

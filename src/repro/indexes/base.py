@@ -284,6 +284,7 @@ class MultidimensionalIndex(ABC):
         *,
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
+        gather_columns: bool = True,
     ) -> None:
         self._table = table
         aligned = row_ids is None
@@ -300,11 +301,13 @@ class MultidimensionalIndex(ABC):
         # 0..len(row_ids)-1 and map back to original ids at the end.  An
         # index over the whole table references the table arrays directly
         # (zero-copy — in particular mmap-backed columns stay mapped);
-        # subset-scoped indexes gather their covered rows once.
-        if aligned:
-            self._columns: Dict[str, np.ndarray] = {
-                name: table.column(name) for name in table.schema
-            }
+        # subset-scoped indexes gather their covered rows once.  Subclasses
+        # that lay rows out in their own order (the sorted-cell grid) pass
+        # ``gather_columns=False`` and gather them themselves.
+        if not gather_columns:
+            self._columns: Dict[str, np.ndarray] = {}
+        elif aligned:
+            self._columns = {name: table.column(name) for name in table.schema}
         else:
             self._columns = {
                 name: table.column(name)[row_ids] for name in table.schema
@@ -416,23 +419,32 @@ class MultidimensionalIndex(ABC):
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
         """Positional ids of ``row_ids`` within this index's subset.
 
-        The stable argsort of the covered row ids is computed once and
-        cached, so repeated id-to-position mapping (every COAX query needs
-        it) costs one binary search instead of an ``O(n log n)`` sort per
-        call.  Ids not covered by this index are silently dropped.  The
-        cache is invalidated whenever the covered row set changes
-        (:meth:`_append_rows`).
+        The sorted covered ids and their positions (:meth:`_row_lookup`)
+        are computed once and cached, so repeated id-to-position mapping
+        (every COAX query needs it) costs one binary search instead of a
+        sort per call.  Ids not covered by this index are silently
+        dropped.  The cache is invalidated whenever the covered row set
+        changes (:meth:`_append_rows`, grid absorbs and rebuilds).
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if len(row_ids) == 0 or self.n_rows == 0:
             return np.empty(0, dtype=np.int64)
+        sorted_ids, order = self._row_lookup()
+        located = np.searchsorted(sorted_ids, row_ids)
+        located = np.clip(located, 0, len(sorted_ids) - 1)
+        valid = sorted_ids[located] == row_ids
+        return order[located[valid]]
+
+    def _row_lookup(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted covered ids, their positions)``, built once and cached.
+
+        The base build is a stable argsort of the covered ids; subclasses
+        that know more about their ids may derive it more cheaply.
+        """
         if self._row_id_order is None or self._sorted_row_ids is None:
             self._row_id_order = np.argsort(self._row_ids, kind="stable")
             self._sorted_row_ids = self._row_ids[self._row_id_order]
-        located = np.searchsorted(self._sorted_row_ids, row_ids)
-        located = np.clip(located, 0, len(self._sorted_row_ids) - 1)
-        valid = self._sorted_row_ids[located] == row_ids
-        return self._row_id_order[located[valid]]
+        return self._sorted_row_ids, self._row_id_order
 
     # ------------------------------------------------------------------
     # Deletes (tombstones)
@@ -477,20 +489,14 @@ class MultidimensionalIndex(ABC):
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if len(row_ids) == 0 or self.n_rows == 0:
             return np.zeros(len(row_ids), dtype=bool)
-        if self._row_id_order is None or self._sorted_row_ids is None:
-            self._row_id_order = np.argsort(self._row_ids, kind="stable")
-            self._sorted_row_ids = self._row_ids[self._row_id_order]
-        located = np.clip(
-            np.searchsorted(self._sorted_row_ids, row_ids),
-            0,
-            len(self._sorted_row_ids) - 1,
-        )
-        found = self._sorted_row_ids[located] == row_ids
+        sorted_ids, order = self._row_lookup()
+        located = np.clip(np.searchsorted(sorted_ids, row_ids), 0, len(sorted_ids) - 1)
+        found = sorted_ids[located] == row_ids
         if self._tombstone is None:
             return found
         # Not-found slots carry a clipped (but valid) position; `found`
         # masks them out of the result either way.
-        return found & ~self._tombstone[self._row_id_order[located]]
+        return found & ~self._tombstone[order[located]]
 
     # ------------------------------------------------------------------
     # Queries
@@ -689,8 +695,10 @@ class MultidimensionalIndex(ABC):
 
         ``table`` becomes the index's backing table (it must contain the old
         rows under their old ids plus the new ones).  Only the flat row
-        bookkeeping is updated here — directory structures are the
-        subclass's responsibility (see ``SortedCellGridIndex.absorb_rows``).
+        bookkeeping is updated here, appending the new rows at the end —
+        directory structures are the subclass's responsibility, and a
+        subclass with its own row order absorbs rows itself (see
+        ``SortedCellGridIndex.absorb_rows``).
         """
         new_row_ids = np.asarray(new_row_ids, dtype=np.int64)
         # Invalidate the row-id lookup *before* mutating the row set: if a

@@ -12,6 +12,13 @@ variant where
   use binary search inside the cell ("Sorting the rows inside pages means
   that we can reduce the dimensionality of the grid by one").
 
+The layout is physical, as in Flood: the index keeps its own copy of
+every column and its row ids in (cell, sort-key) order, so cell ``c``
+owns local positions ``offsets[c]:offsets[c+1]``, the sort key is the
+clustered sort column itself, and every candidate run the bisection
+finds is a contiguous slice — the post-filter, the aggregate folds,
+top-k and kNN read runs instead of gathering through a row permutation.
+
 The same structure doubles as the Column Files baseline (see
 :mod:`repro.indexes.column_files`).
 """
@@ -72,7 +79,9 @@ class SortedCellGridIndex(MultidimensionalIndex):
         row_ids: Optional[np.ndarray] = None,
         dimensions: Optional[Sequence[str]] = None,
     ) -> None:
-        super().__init__(table, row_ids=row_ids, dimensions=dimensions)
+        super().__init__(
+            table, row_ids=row_ids, dimensions=dimensions, gather_columns=False
+        )
         if cells_per_dim < 1:
             raise IndexBuildError("cells_per_dim must be at least 1")
         self._sort_dimension = sort_dimension or self._dimensions[-1]
@@ -90,15 +99,10 @@ class SortedCellGridIndex(MultidimensionalIndex):
         self._cells_per_dim = _capped_cells_per_dim(cells_per_dim, n_grid_dims, budget)
         self._shape: Tuple[int, ...] = tuple([self._cells_per_dim] * n_grid_dims)
         self._cell_strides: Tuple[int, ...] = row_major_strides(self._shape)
-        self._boundaries: List[np.ndarray] = [
-            quantile_boundaries(self._columns[dim], self._cells_per_dim)
-            for dim in self._grid_dimensions
-        ]
-        self._compute_axis_spans()
-        self._build_cells()
+        self._cluster(table, self._row_ids, learn_boundaries=True)
 
     # ------------------------------------------------------------------
-    # Structured restore (format v6)
+    # Structured restore (format v8)
     # ------------------------------------------------------------------
     @classmethod
     def _restore(
@@ -113,18 +117,15 @@ class SortedCellGridIndex(MultidimensionalIndex):
         boundaries: Sequence[np.ndarray],
         axis_lows: Sequence[float],
         axis_highs: Sequence[float],
-        row_order: np.ndarray,
         offsets: np.ndarray,
-        sorted_keys: np.ndarray,
     ) -> "SortedCellGridIndex":
         """Reattach a grid from persisted derived state — no rebuild.
 
-        The quantile boundaries, the (cell, sort-key) row permutation and
-        the per-cell offsets are adopted verbatim, so the restored grid is
-        bit-identical to the saved one by construction and attaching costs
-        O(metadata) plus mapping the arrays (nothing when they are
-        memmaps).  Column arrays are taken as given — memmap-backed ones
-        stay mapped.
+        ``row_ids`` and ``columns`` are in clustered (cell, sort-key)
+        order; they, the quantile boundaries and the per-cell offsets are
+        adopted verbatim, so the restored grid is bit-identical to the
+        saved one by construction and attaching costs O(metadata) plus
+        mapping the arrays (nothing when they are memmaps).
         """
         index = cls.__new__(cls)
         index._init_restored(
@@ -140,41 +141,70 @@ class SortedCellGridIndex(MultidimensionalIndex):
         index._boundaries = [np.asarray(b, dtype=np.float64) for b in boundaries]
         index._axis_lows = [float(v) for v in axis_lows]
         index._axis_highs = [float(v) for v in axis_highs]
-        index._row_order = np.asarray(row_order, dtype=np.int64)
         index._offsets = np.asarray(offsets, dtype=np.int64)
-        index._sorted_keys = np.asarray(sorted_keys, dtype=np.float64)
         index._agg_prefix = {}
         return index
 
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
-    def _build_cells(self) -> None:
-        # The aggregate prefix-sum cache is laid out over _row_order, so any
-        # path that rebuilds or reshuffles the permutation must drop it.
-        self._agg_prefix: Dict[str, np.ndarray] = {}
-        n_cells = int(np.prod(self._shape)) if self._shape else 1
-        if self.n_rows == 0:
-            self._row_order = np.empty(0, dtype=np.int64)
-            self._offsets = np.zeros(n_cells + 1, dtype=np.int64)
-            self._sorted_keys = np.empty(0, dtype=np.float64)
-            return
-        if self._grid_dimensions:
-            cell_coordinates = [
-                self._cell_of(self._columns[dim], axis)
-                for axis, dim in enumerate(self._grid_dimensions)
+    def _cluster(
+        self, table: Table, row_ids: np.ndarray, *, learn_boundaries: bool
+    ) -> None:
+        """Lay ``row_ids`` of ``table`` out in (cell id, sort key) order.
+
+        Only the indexed attributes are read in input order — enough to
+        learn the quantile boundaries and the order; every column is then
+        gathered exactly once, already clustered, so each cell's records
+        sit contiguously and sorted by the sort dimension (the paper's
+        page layout).  Local position ``p`` then holds row ``row_ids[p]``
+        of the clustered order, and a candidate run is a plain slice.
+        """
+        indexed = {
+            dim: table.column(dim)[row_ids]
+            for dim in (*self._grid_dimensions, self._sort_dimension)
+        }
+        if learn_boundaries:
+            self._boundaries: List[np.ndarray] = [
+                quantile_boundaries(indexed[dim], self._cells_per_dim)
+                for dim in self._grid_dimensions
             ]
-            flat = np.ravel_multi_index(cell_coordinates, self._shape)
-        else:
-            flat = np.zeros(self.n_rows, dtype=np.int64)
-        sort_keys = self._columns[self._sort_dimension]
-        # Order rows by (cell id, sort key): records cluster per cell and are
-        # sorted inside the cell, exactly the paper's page layout.
-        order = np.lexsort((sort_keys, flat)).astype(np.int64)
-        counts = np.bincount(flat, minlength=n_cells)
-        self._row_order = order
+        flat = self._flat_cells(indexed, len(row_ids))
+        order = np.lexsort((indexed[self._sort_dimension], flat))
+        del indexed
+        counts = np.bincount(flat, minlength=self.n_cells)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._sorted_keys = sort_keys[order]
+        self._invalidate_row_lookup()
+        self._table = table
+        self._row_ids = row_ids[order]
+        self._columns = {
+            name: table.column(name)[self._row_ids] for name in table.schema
+        }
+        self._compute_axis_spans()
+        # The id lookup of positions_of, straight from the permutation:
+        # input row i sits at clustered position inverse[i], so listing the
+        # input by ascending id (it usually is already, e.g. partition ids)
+        # lists the clustered positions by ascending id — O(n), no argsort
+        # of the clustered ids.
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.arange(len(order), dtype=np.int64)
+        if not bool(np.all(row_ids[1:] > row_ids[:-1])):
+            by_id = np.argsort(row_ids, kind="stable")
+            inverse, row_ids = inverse[by_id], row_ids[by_id]
+        self._sorted_row_ids, self._row_id_order = row_ids, inverse
+        # The aggregate prefix-sum cache is laid out over the clustered
+        # columns, so any path that moves rows must drop it.
+        self._agg_prefix: Dict[str, np.ndarray] = {}
+
+    def _flat_cells(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
+        """Flat cell id of each of ``n`` rows given their grid-axis values."""
+        if not self._grid_dimensions:
+            return np.zeros(n, dtype=np.int64)
+        cell_coordinates = [
+            self._cell_of(columns[dim], axis)
+            for axis, dim in enumerate(self._grid_dimensions)
+        ]
+        return np.ravel_multi_index(cell_coordinates, self._shape)
 
     def _cell_of(self, values: np.ndarray, axis: int) -> np.ndarray:
         boundaries = self._boundaries[axis]
@@ -189,6 +219,23 @@ class SortedCellGridIndex(MultidimensionalIndex):
             self._columns, self._grid_dimensions
         )
 
+    def _row_lookup(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The row-id lookup of :meth:`positions_of`, without an argsort.
+
+        Builds and absorbs keep the lookup current; only a restored grid
+        derives it here, on first use.  Covered row ids are distinct
+        positions of the backing table, so one scatter of the local
+        positions over the table's slots lists them in ascending id
+        order: ``O(table rows)`` instead of sorting the clustered ids.
+        """
+        if self._row_id_order is None or self._sorted_row_ids is None:
+            slot = np.full(self._table.n_rows, -1, dtype=np.int64)
+            slot[self._row_ids] = np.arange(self.n_rows, dtype=np.int64)
+            order = slot[slot >= 0]
+            self._row_id_order = order
+            self._sorted_row_ids = self._row_ids[order]
+        return self._sorted_row_ids, self._row_id_order
+
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
@@ -198,12 +245,13 @@ class SortedCellGridIndex(MultidimensionalIndex):
         This is the incremental half of COAX compaction: the quantile
         boundaries learned at build time are kept (no re-quantiling), the
         new rows are assigned to cells with the existing directory, sorted
-        by (cell, sort key) once, and merged into the per-cell sorted runs
-        with one binary search per touched cell.  Sorting work is
-        ``O(k log k + k log n)`` for ``k`` new rows; the merged arrays are
-        then rewritten in one ``O(n + k)`` copy (``np.insert``), so the win
-        over a rebuild is avoiding the full ``O((n + k) log (n + k))``
-        re-sort and the re-quantiling, not the linear copy.
+        by (cell, sort key) once, and each lands at its per-cell insert
+        position, found with one binary search per touched cell.  Sorting
+        work is ``O(k log k + k log n)`` for ``k`` new rows; every column,
+        the row ids and the tombstone bitmap are then rewritten with one
+        ``O(n + k)`` ``np.insert`` each, so the win over a rebuild is
+        avoiding the full ``O((n + k) log (n + k))`` re-sort and the
+        re-quantiling, not the linear copy.
 
         ``table`` must contain the previously covered rows under their old
         ids plus the new rows under ``new_row_ids``.
@@ -213,36 +261,25 @@ class SortedCellGridIndex(MultidimensionalIndex):
         if len(new_row_ids) == 0:
             self._table = table
             return
-        self._append_rows(table, new_row_ids)
         if old_n == 0:
             # The grid was built over no data, so its boundaries carry no
             # information; learn them from the first absorbed batch.
-            self._boundaries = [
-                quantile_boundaries(self._columns[dim], self._cells_per_dim)
-                for dim in self._grid_dimensions
-            ]
-            self._compute_axis_spans()
-            self._build_cells()
+            self._cluster(table, new_row_ids, learn_boundaries=True)
             return
         k = len(new_row_ids)
+        indexed = {
+            dim: table.column(dim)[new_row_ids]
+            for dim in (*self._grid_dimensions, self._sort_dimension)
+        }
         for axis, dim in enumerate(self._grid_dimensions):
-            new_values = self._columns[dim][old_n:]
-            self._axis_lows[axis] = min(self._axis_lows[axis], float(new_values.min()))
-            self._axis_highs[axis] = max(self._axis_highs[axis], float(new_values.max()))
-        new_positions = old_n + np.arange(k, dtype=np.int64)
-        if self._grid_dimensions:
-            cell_coordinates = [
-                self._cell_of(self._columns[dim][old_n:], axis)
-                for axis, dim in enumerate(self._grid_dimensions)
-            ]
-            flat = np.ravel_multi_index(cell_coordinates, self._shape)
-        else:
-            flat = np.zeros(k, dtype=np.int64)
-        keys = self._columns[self._sort_dimension][old_n:]
-        order = np.lexsort((keys, flat)).astype(np.int64)
+            self._axis_lows[axis] = min(self._axis_lows[axis], float(indexed[dim].min()))
+            self._axis_highs[axis] = max(self._axis_highs[axis], float(indexed[dim].max()))
+        flat = self._flat_cells(indexed, k)
+        keys = indexed[self._sort_dimension]
+        order = np.lexsort((keys, flat))
         flat_sorted = flat[order]
         keys_sorted = keys[order]
-        positions_sorted = new_positions[order]
+        sort_column = self._columns[self._sort_dimension]
         insert_at = np.empty(k, dtype=np.int64)
         # flat_sorted is sorted, so each touched cell is one contiguous run.
         touched_cells, run_starts = np.unique(flat_sorted, return_index=True)
@@ -250,16 +287,39 @@ class SortedCellGridIndex(MultidimensionalIndex):
         for cell, run_start, run_end in zip(touched_cells, run_starts, run_ends):
             start, stop = int(self._offsets[cell]), int(self._offsets[cell + 1])
             insert_at[run_start:run_end] = start + np.searchsorted(
-                self._sorted_keys[start:stop],
+                sort_column[start:stop],
                 keys_sorted[run_start:run_end],
                 side="right",
             )
-        self._row_order = np.insert(self._row_order, insert_at, positions_sorted)
-        self._sorted_keys = np.insert(self._sorted_keys, insert_at, keys_sorted)
+        # Invalidate the row-id lookup before mutating the row set: if an
+        # insert below raises, a stale cache must never survive.
+        sorted_ids, id_positions = self._sorted_row_ids, self._row_id_order
+        self._invalidate_row_lookup()
+        self._table = table
+        added = new_row_ids[order]
+        self._row_ids = np.insert(self._row_ids, insert_at, added)
+        for name in table.schema:
+            self._columns[name] = np.insert(
+                self._columns[name], insert_at, table.column(name)[added]
+            )
+        if self._tombstone is not None:
+            self._tombstone = np.insert(self._tombstone, insert_at, False)
         self._agg_prefix = {}
-        n_cells = self.n_cells
-        counts = np.bincount(flat, minlength=n_cells)
+        counts = np.bincount(flat, minlength=self.n_cells)
         self._offsets[1:] += np.cumsum(counts)
+        if sorted_ids is not None and id_positions is not None:
+            # Shift the lookup by the insert positions: an old position
+            # moves up by the rows inserted at or before it, and new row j
+            # (insert_at is non-decreasing) lands at insert_at[j] + j.
+            shift = np.cumsum(np.bincount(insert_at, minlength=old_n + 1))
+            by_id = np.argsort(added, kind="stable")
+            at = np.searchsorted(sorted_ids, added[by_id])
+            self._row_id_order = np.insert(
+                id_positions + shift[id_positions],
+                at,
+                (insert_at + np.arange(k, dtype=np.int64))[by_id],
+            )
+            self._sorted_row_ids = np.insert(sorted_ids, at, added[by_id])
 
     # ------------------------------------------------------------------
     # Query
@@ -326,10 +386,11 @@ class SortedCellGridIndex(MultidimensionalIndex):
         cell.  The upper search starts from the lower result — valid because
         ``last >= first`` whenever the interval is non-empty.
         """
+        keys = self._columns[self._sort_dimension]
         starts = self._offsets[cells]
         stops = self._offsets[cells + 1]
-        first = segment_bisect(self._sorted_keys, starts, stops, lows, side="left")
-        last = segment_bisect(self._sorted_keys, first, stops, highs, side="right")
+        first = segment_bisect(keys, starts, stops, lows, side="left")
+        last = segment_bisect(keys, first, stops, highs, side="right")
         return first, last
 
     #: Hybrid switch between the scalar per-cell path and the batched
@@ -350,10 +411,10 @@ class SortedCellGridIndex(MultidimensionalIndex):
             # searches (Section 6) — lowest constant cost for point-like
             # queries.  Pruning analysis is not worth its overhead here.
             strides = self._cell_strides
-            chunks: List[np.ndarray] = []
+            runs: List[np.ndarray] = []
             rows_examined = 0
             offsets = self._offsets
-            keys = self._sorted_keys
+            keys = self._columns[self._sort_dimension]
             for combo in itertools.product(
                 *(
                     range(lo_cell, hi_cell + 1)
@@ -368,11 +429,14 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 first = start + int(np.searchsorted(cell_keys, sort_interval.low, side="left"))
                 last = start + int(np.searchsorted(cell_keys, sort_interval.high, side="right"))
                 if last > first:
-                    chunks.append(self._row_order[first:last])
+                    runs.append(np.arange(first, last, dtype=np.int64))
                     rows_examined += last - first
-            candidates = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
+            if len(runs) == 1:
+                candidates = runs[0]
+            else:
+                candidates = (
+                    np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+                )
         else:
             cells = enumerate_cells(lo_cells, hi_cells, self._shape)
             # Kernel path: one batched bisection over the whole cell
@@ -382,8 +446,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 np.full(len(cells), sort_interval.low),
                 np.full(len(cells), sort_interval.high),
             )
-            gathered, _ = gather_ranges(first, last)
-            candidates = self._row_order[gathered]
+            candidates, _ = gather_ranges(first, last)
             rows_examined = len(candidates)
             skip_dims.extend(self._pruned_filter_dims(query, lo_cells, hi_cells))
         matches = self._filter_candidates(candidates, query, skip_dims)
@@ -511,8 +574,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         first, last = self._bisect_cells(
             all_cells, sort_lows[cell_qid], sort_highs[cell_qid]
         )
-        gathered, run_lengths = gather_ranges(first, last)
-        candidates = self._row_order[gathered]
+        candidates, run_lengths = gather_ranges(first, last)
         row_qid = np.repeat(cell_qid, run_lengths)
 
         # One vectorized post-filter pass per attribute over the whole
@@ -563,16 +625,16 @@ class SortedCellGridIndex(MultidimensionalIndex):
     # Aggregate pushdown
     # ------------------------------------------------------------------
     def _column_prefix(self, column: str) -> np.ndarray:
-        """Prefix sums of ``column`` in ``_row_order`` layout (lazy, cached).
+        """Prefix sums of the clustered ``column`` (lazy, cached).
 
-        One ``O(n)`` gather+cumsum per column, amortised over every SUM/AVG
+        One ``O(n)`` cumsum per column, amortised over every SUM/AVG
         pushdown: a covered candidate run ``[first, last)`` then folds to
         its exact total with one subtraction and zero value gathers.
-        Invalidated whenever the row permutation changes.
+        Invalidated whenever rows move (build, absorb).
         """
         prefix = self._agg_prefix.get(column)
         if prefix is None:
-            prefix = prefix_sums(self._columns[column][self._row_order])
+            prefix = prefix_sums(self._columns[column])
             self._agg_prefix[column] = prefix
         return prefix
 
@@ -703,7 +765,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
                 )
             elif spec.op in ("min", "max"):
                 gathered, lengths = gather_ranges(fold_first, fold_last)
-                run_values = values[self._row_order[gathered]]
+                run_values = values[gathered]
                 folded_examined = len(run_values)
                 extremes = segment_reduce(run_values, lengths, spec.op)
                 if spec.op == "min":
@@ -720,8 +782,7 @@ class SortedCellGridIndex(MultidimensionalIndex):
         n_examined = int(folded_examined)
         remaining = ~covered_run
         if remaining.any():
-            gathered, run_lengths = gather_ranges(first[remaining], last[remaining])
-            candidates = self._row_order[gathered]
+            candidates, run_lengths = gather_ranges(first[remaining], last[remaining])
             row_qid = np.repeat(cell_qid[remaining], run_lengths)
             n_examined += len(candidates)
             live_mask = live_candidate_mask(candidates, self._tombstone)
@@ -842,14 +903,13 @@ class SortedCellGridIndex(MultidimensionalIndex):
                     low, high = _sort_key_window(sort_target, radius, metric)
                     n = len(cells)
                     ends = segment_bisect(
-                        self._sorted_keys,
+                        self._columns[self._sort_dimension],
                         np.concatenate([starts, starts]),
                         np.concatenate([stops, stops]),
                         np.repeat([low, np.nextafter(high, math.inf)], n),
                     )
                     starts, stops = ends[:n], ends[n:]
-                gathered, _ = gather_ranges(starts, stops)
-                positions = self._row_order[gathered]
+                positions, _ = gather_ranges(starts, stops)
                 live_mask = live_candidate_mask(positions, self._tombstone)
                 if live_mask is not None:
                     positions = positions[live_mask]
@@ -911,10 +971,10 @@ class SortedCellGridIndex(MultidimensionalIndex):
     def directory_bytes(self) -> int:
         """Cell address table plus quantile boundaries.
 
-        The row permutation and sorted-key copy model the physical
-        clustering of records into sorted pages, so they count as data
-        layout rather than directory overhead (consistently with the
-        uniform-grid accounting).
+        The records themselves are stored clustered into sorted pages —
+        the column copies and row ids in (cell, sort-key) order, with no
+        row permutation beside them — so everything but the offsets and
+        the boundaries is data, not directory.
         """
         boundary_bytes = int(sum(b.nbytes for b in self._boundaries))
         return int(self._offsets.nbytes) + boundary_bytes

@@ -27,20 +27,28 @@ a ``shard<j>::`` prefix (plus ``shard<j>::__global_of__``) for engines —
 extended with the *structured-restore* section that makes cold starts
 O(metadata): the inlier/outlier partition (``partition::*``), and for the
 primary and the (grid-backed) outlier index the quantile boundaries, the
-(cell, sort-key) row permutation, the per-cell offsets and the gathered
-column subsets (``primary::*`` / ``outlier::*``).  With that state a
-load *reattaches* the saved structures verbatim instead of replaying the
-build — no FD model is evaluated, nothing is re-sorted.  Indexes whose
-state cannot be reattached (subset-scoped after a reclaiming compaction,
-or non-grid outlier indexes) simply omit the section and are rebuilt
+per-cell offsets, and the grid's row ids and column copies, both in
+clustered (cell, sort-key) order (``primary::*`` / ``outlier::*``).
+With that state a load *reattaches* the saved structures verbatim —
+mapped, like the table columns — instead of replaying the build: no FD
+model is evaluated, nothing is re-sorted.  Indexes whose state cannot be
+reattached (subset-scoped after a reclaiming compaction, or non-grid
+outlier indexes) simply omit the section and are rebuilt
 deterministically from the stored groups, exactly like pre-v6 archives.
+
+Format v8 is the current directory layout.  v6 and v7 directories differ
+only in their grid sections, which stored the columns in partition order
+plus a (cell, sort-key) row permutation and a copy of the sorted keys;
+they load through a shim that applies that permutation once (the
+converted grid columns are then heap copies, not maps).  v7 added the
+layout-monitor state that v6 lacks.
 
 Versions 1–5 are the single-``.npz`` layouts of earlier builds (v1 no
 delta section, v2 delta without per-model masks, v3 tombstones + masks,
 v4 the sharded archive, v5 drift-monitor state; see the git history for
 the blow-by-blow).  They all keep loading through a conversion shim —
 the loaders dispatch on *file* (npz, v1–v5) vs *directory with manifest*
-(v6) — and saving a loaded index writes v6.  ``save_index(...,
+(v6+) — and saving a loaded index writes v8.  ``save_index(...,
 layout="npz")`` still writes the v5 single-file layout for compatibility
 tooling and benchmarks.  :func:`load_engine` wraps any flat archive into
 a 1-shard engine; sharded archives remember the engine's ``workers`` and
@@ -58,7 +66,7 @@ import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +101,7 @@ __all__ = [
 
 #: Version written for every archive (flat and sharded; the two layouts
 #: are distinguished by the presence of the ``engine`` header section).
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 #: The single-file ``.npz`` layout still written by
 #: ``save_index(..., layout="npz")`` for compatibility tooling.
@@ -111,8 +119,10 @@ SHARDED_FORMAT_VERSION = FORMAT_VERSION
 #: structured O(metadata) restore, 7 the workload-adaptive layout state
 #: of the sharded engine — ``layout::<name>`` arrays plus the layout
 #: knobs/epoch in the ``engine`` header; pre-7 archives load with an
-#: empty monitor).
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+#: empty monitor), 8 the clustered grid sections — each grid stores its
+#: row ids and columns in (cell, sort-key) order instead of a row
+#: permutation over partition-ordered columns.
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: Header file of a columnar (v6) archive directory; written last, so its
 #: presence certifies the archive is complete.
@@ -272,9 +282,8 @@ def _grid_payload(
     """Store one grid's derived state under ``prefix::`` keys; return its meta."""
     for axis, boundary in enumerate(grid._boundaries):
         arrays[f"{prefix}::boundary{axis}"] = np.asarray(boundary, dtype=np.float64)
-    arrays[f"{prefix}::row_order"] = grid._row_order
+    arrays[f"{prefix}::row_ids"] = grid.row_ids
     arrays[f"{prefix}::offsets"] = grid._offsets
-    arrays[f"{prefix}::sorted_keys"] = grid._sorted_keys
     for name in grid.table.schema:
         arrays[f"{prefix}::column::{name}"] = grid._columns[name]
     return {
@@ -308,18 +317,51 @@ def _structured_payload(index: COAXIndex, arrays: Dict[str, np.ndarray]) -> Dict
     }
 
 
+def _legacy_grid_rows(
+    table: Table,
+    prefix: str,
+    partition_ids: np.ndarray,
+    arrays: Mapping[str, np.ndarray],
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Clustered row ids and columns of a v6/v7 grid section.
+
+    Those formats stored the grid's columns in partition order plus the
+    (cell, sort-key) permutation ``row_order`` and a copy of the sorted
+    keys ``sorted_keys``.  The permutation is applied once here — the
+    columns come back as fresh clustered copies, not maps — and the key
+    copy is dropped (it equals the clustered sort column).
+    """
+    # repro-lint: allow[materialize] one-time conversion of a legacy (v6/v7) grid section into the clustered layout
+    row_order = np.asarray(arrays[f"{prefix}::row_order"], dtype=np.int64)
+    columns = {
+        name: arrays[f"{prefix}::column::{name}"][row_order] for name in table.schema
+    }
+    return partition_ids[row_order], columns
+
+
 def _restore_grid(
     table: Table,
     grid_meta: Dict,
     prefix: str,
-    row_ids: np.ndarray,
+    partition_ids: np.ndarray,
     arrays: Mapping[str, np.ndarray],
 ) -> SortedCellGridIndex:
     """Reattach one grid from its ``prefix::`` arrays (inverse of
-    :func:`_grid_payload`)."""
-    columns = {
-        name: arrays[f"{prefix}::column::{name}"] for name in table.schema
-    }
+    :func:`_grid_payload`); ``partition_ids`` are the ids the grid was
+    built over, which only a legacy section needs."""
+    if f"{prefix}::row_ids" in arrays:
+        # repro-lint: allow[materialize] dtype-preserving view of the archived id array: zero-copy on mmap (already int64)
+        row_ids = np.asarray(arrays[f"{prefix}::row_ids"], dtype=np.int64)
+        # Plain ndarray views of the maps: still zero-copy, but indexing
+        # them skips np.memmap's per-call Python overhead, which the bisect
+        # and post-filter kernels would otherwise pay on every step.
+        columns = {
+            # repro-lint: allow[materialize] base-class view of the mapped column: zero-copy, no dtype change
+            name: np.asarray(arrays[f"{prefix}::column::{name}"])
+            for name in table.schema
+        }
+    else:
+        row_ids, columns = _legacy_grid_rows(table, prefix, partition_ids, arrays)
     boundaries = [
         arrays[f"{prefix}::boundary{axis}"] for axis in range(int(grid_meta["n_axes"]))
     ]
@@ -333,9 +375,7 @@ def _restore_grid(
         boundaries=boundaries,
         axis_lows=grid_meta["axis_lows"],
         axis_highs=grid_meta["axis_highs"],
-        row_order=arrays[f"{prefix}::row_order"],
         offsets=arrays[f"{prefix}::offsets"],
-        sorted_keys=arrays[f"{prefix}::sorted_keys"],
     )
 
 
@@ -733,7 +773,7 @@ def save_index(
 ) -> Path:
     """Persist an index (data + learned state + delta store) to ``path``.
 
-    The default ``layout="columnar"`` writes a format-6 archive
+    The default ``layout="columnar"`` writes a format-8 archive
     *directory*: one raw little-endian file per column/array plus a
     ``manifest.json`` written last, assembled under a temporary name and
     atomically renamed into place so readers never observe a torn

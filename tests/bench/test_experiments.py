@@ -321,15 +321,15 @@ class TestRestart:
     def test_smoke_mode_structure_and_gates(self):
         result = restart.run(n_rows=SMALL, smoke=True)
         formats = {row["format"] for row in result.rows}
-        assert formats == {"v6-columnar", "v5-npz"}
+        assert formats == {"v8-columnar", "v7-columnar", "v5-npz"}
         for row in result.rows:
             # Every loaded engine answered the probes bit-identically.
             assert row["mismatched_queries"] == 0
             assert row["cold_start_s"] > 0.0
             assert row["executor"] == "thread"
-        v6 = next(row for row in result.rows if row["format"] == "v6-columnar")
+        v8 = next(row for row in result.rows if row["format"] == "v8-columnar")
         # Smoke mode gates on the mmap attach beating the npz copy-load.
-        assert v6["speedup_vs_npz"] > 1.0
+        assert v8["speedup_vs_npz"] > 1.0
 
     def test_executor_override_reaches_loaded_engines(self):
         result = restart.run(n_rows=SMALL, executor="process", smoke=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import COAXConfig
-from repro.core.results import QueryResult, merge_row_ids
+from repro.core.results import QueryResult, merge_row_ids, unique_ids
 
 
 class TestCOAXConfig:
@@ -47,6 +47,38 @@ class TestMergeRowIds:
 
     def test_no_parts(self):
         assert len(merge_row_ids([])) == 0
+
+
+class TestUniqueIds:
+    """The sort-based id union must equal ``np.unique`` exactly."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(13)
+        info = np.iinfo(np.int64)
+        return {
+            "empty": np.empty(0, dtype=np.int64),
+            "single": np.array([7], dtype=np.int64),
+            "all_equal": np.full(50, -3, dtype=np.int64),
+            "duplicate_heavy": rng.integers(0, 20, size=5_000).astype(np.int64),
+            "random": rng.integers(info.min, info.max, size=5_000, dtype=np.int64),
+            "extremes": np.array([info.max, info.min, 0, info.max, -1, info.min], dtype=np.int64),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["empty", "single", "all_equal", "duplicate_heavy", "random", "extremes"]
+    )
+    def test_matches_np_unique(self, name):
+        ids = self._inputs()[name]
+        got = unique_ids(ids)
+        want = np.unique(ids)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_input_left_untouched(self):
+        ids = np.array([5, 1, 5, 3], dtype=np.int64)
+        unique_ids(ids)
+        assert ids.tolist() == [5, 1, 5, 3]
 
 
 class TestQueryResult:

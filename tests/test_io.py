@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import shutil
 
 import numpy as np
 import pytest
 
+from repro.bench.experiments.restart import write_legacy_archive
 from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig, EngineConfig, LayoutConfig, MaintenanceConfig
 from repro.core.engine import ShardedCOAX
@@ -366,13 +366,15 @@ class TestIndexPersistence:
 
 
 class TestFormatVersionMatrix:
-    """Every supported on-disk version (v1–v7) loads — via ``load_index``
+    """Every supported on-disk version (v1–v8) loads — via ``load_index``
     into its natural type and via ``load_engine`` always into a sharded
     engine (flat archives become a 1-shard engine).
 
-    v7 is what ``save_index`` writes today (columnar directory with
-    layout-monitor state); v6 is the same directory minus the layout
-    sections, so the fixture derives it by re-stamping the manifest; v5
+    v8 is what ``save_index`` writes today (columnar directory with
+    clustered grid sections); v7 stored each grid as a row permutation
+    over partition-ordered columns and v6 additionally lacks the layout
+    sections, so the fixture derives both by rewriting the grid sections
+    and the manifest; v5
     is what ``layout="npz"`` still writes; v3 (flat) and v4 (sharded)
     are byte-identical to v5 minus the version stamp and any monitor
     sections, so the fixtures derive them by rewriting the header; v2/v1
@@ -381,8 +383,8 @@ class TestFormatVersionMatrix:
     """
 
     #: Flat-archive versions (load as COAXIndex / 1-shard engine).
-    FLAT_VERSIONS = (1, 2, 3, 5, 6, 7)
-    ALL_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+    FLAT_VERSIONS = (1, 2, 3, 5, 6, 7, 8)
+    ALL_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
 
     @staticmethod
     def _rewrite(arrays, meta, path):
@@ -394,23 +396,19 @@ class TestFormatVersionMatrix:
 
     @staticmethod
     def _restamp_directory(source, target, version):
-        """Derive an older columnar archive: copy + rewrite the manifest.
+        """Derive an older columnar archive from a v8 one.
 
-        Dropping the ``layout::`` sections and the engine's layout config
-        alongside the version stamp reproduces what a v6 writer emitted.
+        The grid sections are rewritten as genuine v6/v7 sections
+        (``row_order`` + ``sorted_keys`` over partition-ordered columns,
+        no grid ``row_ids``), so loading them exercises the legacy-grid
+        shim; v6 also drops the ``layout::`` sections and the engine's
+        layout config, as a v6 writer emitted.
         """
-        shutil.copytree(source, target)
-        manifest = json.loads((target / MANIFEST_NAME).read_text())
-        manifest["meta"]["format_version"] = version
-        if isinstance(manifest["meta"].get("engine"), dict):
-            manifest["meta"]["engine"].pop("layout", None)
-        manifest["arrays"] = {
-            key: entry
-            for key, entry in manifest["arrays"].items()
-            if not key.startswith("layout::")
-        }
-        (target / MANIFEST_NAME).write_text(json.dumps(manifest))
-        return target
+        path = write_legacy_archive(source, target, version)
+        arrays = _manifest(path)["arrays"]
+        assert not any(key.endswith("primary::row_ids") for key in arrays)
+        assert any(key.endswith("primary::row_order") for key in arrays)
+        return path
 
     @pytest.fixture(scope="class")
     def fixture_state(self, tmp_path_factory):
@@ -429,11 +427,12 @@ class TestFormatVersionMatrix:
         index.insert_batch({"x": [10.0, 20.0], "y": [20.1, 700.0]})
         base = tmp_path_factory.mktemp("versions")
         paths = {}
-        # v7: what save_index writes for a flat index today.
-        paths[7] = save_index(index, base / "v7.coax")
-        assert _manifest(paths[7])["meta"]["format_version"] == FORMAT_VERSION == 7
-        # v6: the same columnar directory minus the layout sections.
-        paths[6] = self._restamp_directory(paths[7], base / "v6.coax", 6)
+        # v8: what save_index writes for a flat index today.
+        paths[8] = save_index(index, base / "v8.coax")
+        assert _manifest(paths[8])["meta"]["format_version"] == FORMAT_VERSION == 8
+        # v7 / v6: the pre-clustering grid sections (v6 minus layout).
+        paths[7] = self._restamp_directory(paths[8], base / "v7.coax", 7)
+        paths[6] = self._restamp_directory(paths[8], base / "v6.coax", 6)
         # v5: the legacy single-file layout, still written on request.
         paths[5] = save_index(index, base / "v5.npz", layout="npz")
         with np.load(paths[5], allow_pickle=False) as archive:
@@ -527,7 +526,7 @@ class TestFormatVersionMatrix:
     def test_every_version_converts_to_current_on_save(
         self, fixture_state, version, tmp_path
     ):
-        """Loading any old format and saving writes a current (v7)
+        """Loading any old format and saving writes a current (v8)
         directory that re-loads mmap-backed and answers bit-identically."""
         _, _, paths = fixture_state
         loaded = load_index(paths[version])
@@ -677,10 +676,10 @@ class TestColumnarZeroCopy:
         for name in loaded.table.schema:
             assert _mmap_backed(loaded.table.column(name))
         # The structured restore also reattaches the sub-index state
-        # (gathered column subsets, permutation, offsets) from the map.
+        # (clustered row ids and column copies, offsets) from the map.
         for grid in (loaded._primary, loaded._outlier):
-            assert _mmap_backed(grid._row_order)
-            assert _mmap_backed(grid._sorted_keys)
+            assert _mmap_backed(grid.row_ids)
+            assert _mmap_backed(grid._offsets)
             for column in grid._columns.values():
                 assert _mmap_backed(column)
 
@@ -703,7 +702,7 @@ class TestColumnarZeroCopy:
         guarded = {id(loaded.table.column(name)) for name in loaded.table.schema}
         for grid in (loaded._primary, loaded._outlier):
             guarded |= {id(column) for column in grid._columns.values()}
-            guarded |= {id(grid._row_order), id(grid._sorted_keys)}
+            guarded |= {id(grid.row_ids)}
 
         real_asarray = np.asarray
         real_ascontiguous = np.ascontiguousarray
