@@ -19,14 +19,23 @@ that claim on the Airline and OSM datasets (``BENCH_agg.json``):
   with two-attribute points, once on an 8-shard engine around whole rows
   (the engine's bounded best-first search across shards).
 
+* **top-k workload** — ``topk`` by the 8-shard engine's partition
+  dimension (10 rows per box) on KNN boxes drawn from a 10% row sample,
+  the olap_wide recipe: the engine's bounded best-first search (shards in
+  hull-edge order, the k-th key carried into each and cut into its
+  rectangle) vs materialise-then-select (``range_query`` + ``select_topk``
+  over the gathered column), both verified id-for-id against brute force.
+
 ``rows_examined`` is the honest work metric: the aggregate path counts
 only the rows it actually gathers (boundary cells), the baseline counts
 its materialised candidates.  ``smoke=True`` shrinks to CI scale and
 asserts the deterministic gate — for COUNT/SUM/AVG the pushdown examines
 at least :data:`SMOKE_EXAMINED_FACTOR` x fewer rows than the baseline, and
-so does the sharded full-row kNN against brute force — so a regression
-that silently reintroduces id materialisation (or breaks run coverage, or
-an unbounded kNN scan) fails the pipeline, not just a latency chart.
+so does the sharded full-row kNN against brute force; the sharded top-k
+examines at least :data:`SMOKE_TOPK_FACTOR` x fewer rows than
+materialise-then-select — so a regression that silently reintroduces id
+materialisation (or breaks run coverage, or an unbounded kNN or top-k
+scan) fails the pipeline, not just a latency chart.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ from repro.bench.reporting import ExperimentResult
 from repro.core.coax import COAXIndex
 from repro.core.config import COAXConfig, EngineConfig
 from repro.core.engine import ShardedCOAX
-from repro.data.executors import Aggregate
+from repro.data.executors import Aggregate, TopK, select_topk
 from repro.data.predicates import Interval, Rectangle
+from repro.data.queries import WorkloadConfig, generate_knn_queries
 from repro.data.table import Table
 
 __all__ = ["run"]
@@ -60,8 +70,18 @@ FOLD_ONLY_OPS: Tuple[str, ...] = ("count", "sum", "avg")
 #: materialize-then-reduce on the ~10% selectivity workload.
 SMOKE_EXAMINED_FACTOR = 5.0
 
-#: Shards of the engine the full-row kNN row runs on.
+#: Smoke gate of the sharded top-k row: rows examined by the bounded
+#: search at least this factor fewer than materialise-then-select.
+SMOKE_TOPK_FACTOR = 2.0
+
+#: Shards of the engine the full-row kNN and the top-k rows run on.
 KNN_SHARDS = 8
+
+#: Top-k row: rows per answer, boxes, and the K of the KNN boxes drawn
+#: from a 10% row sample (each box spans about ``10 * K`` rows).
+TOPK_K = 10
+TOPK_BOXES = 16
+TOPK_BOX_NEIGHBOURS = 200
 
 #: Target selectivity of the aggregate rectangles.
 SELECTIVITY = 0.10
@@ -169,6 +189,64 @@ def _knn_row(
         "pushdown_rows_examined": int(examined),
         "materialize_rows_examined": int(table.n_rows * len(points)),
         "examined_ratio": round(table.n_rows * len(points) / max(examined, 1), 1),
+    }
+
+
+def _brute_topk(table: Table, query: Rectangle, spec: TopK) -> np.ndarray:
+    """Brute-force top-k baseline: full-table match mask, one exact sort."""
+    ids = np.flatnonzero(query.matches(table.columns())).astype(np.int64)
+    keys = np.asarray(table.column(spec.column), dtype=np.float64)[ids]
+    return ids[np.lexsort((ids, -keys if spec.largest else keys))[: spec.k]]
+
+
+def _topk_row(
+    dataset: str,
+    table: Table,
+    engine: ShardedCOAX,
+    boxes: List[Rectangle],
+    repeats: int,
+) -> Dict[str, object]:
+    """Time the engine's bounded top-k and materialise-then-select over
+    ``boxes`` (best of ``repeats`` each), verify both id for id against
+    brute force, and report the row."""
+    spec = TopK(TOPK_K, column=engine.partition_dimension)
+    values = np.asarray(table.column(spec.column), dtype=np.float64)
+    brute = [_brute_topk(table, box, spec) for box in boxes]
+
+    def materialise_then_select() -> List[np.ndarray]:
+        found = []
+        for box in boxes:
+            ids = engine.range_query(box)
+            found.append(select_topk(values[ids], ids, spec.k)[1])
+        return found
+
+    def bounded() -> List[np.ndarray]:
+        return [engine.topk(box, spec) for box in boxes]
+
+    timings: Dict[str, float] = {}
+    examined: Dict[str, int] = {}
+    for name, call in (("materialize", materialise_then_select), ("pushdown", bounded)):
+        examined_before = engine.stats.rows_examined
+        seconds = np.inf
+        for _ in range(max(repeats, 1)):
+            start = time.perf_counter()
+            found = call()
+            seconds = min(seconds, time.perf_counter() - start)
+        timings[name] = seconds
+        examined[name] = (engine.stats.rows_examined - examined_before) // max(repeats, 1)
+        for got, want in zip(found, brute):
+            if not np.array_equal(got, want):
+                raise AssertionError(f"top-k {name} diverged from brute force on {dataset}")
+    return {
+        "dataset": dataset,
+        "workload": f"topk:k={TOPK_K}:by={spec.column}:shards={KNN_SHARDS}",
+        "queries": len(boxes),
+        "pushdown_s": round(timings["pushdown"], 4),
+        "materialize_s": round(timings["materialize"], 4),
+        "speedup": round(timings["materialize"] / max(timings["pushdown"], 1e-9), 2),
+        "pushdown_rows_examined": int(examined["pushdown"]),
+        "materialize_rows_examined": int(examined["materialize"]),
+        "examined_ratio": round(examined["materialize"] / max(examined["pushdown"], 1), 1),
     }
 
 
@@ -286,6 +364,19 @@ def run(
             {dim: float(np.asarray(table.column(dim))[row]) for dim in table.schema}
             for row in sample
         ]
+        # Sharded top-k on the same engine: KNN boxes from a 10% row
+        # sample, ranked by the partition dimension.
+        box_rows = table.take(
+            np.sort(rng.choice(table.n_rows, size=max(table.n_rows // 10, 1), replace=False))
+        )
+        boxes = generate_knn_queries(
+            box_rows,
+            WorkloadConfig(
+                n_queries=TOPK_BOXES,
+                k_neighbours=min(TOPK_BOX_NEIGHBOURS, box_rows.n_rows),
+                seed=dataset_seed,
+            ),
+        ).queries
         engine = ShardedCOAX(table, config=EngineConfig(n_shards=KNN_SHARDS))
         try:
             row = _knn_row(
@@ -297,19 +388,26 @@ def run(
                 k_neighbours,
                 repeats,
             )
+            topk_row = _topk_row(dataset, table, engine, boxes, repeats)
         finally:
             engine.close()
-        rows.append(row)
+        rows.extend([row, topk_row])
         if smoke and row["examined_ratio"] < SMOKE_EXAMINED_FACTOR:
             gate_failures.append(
                 f"{dataset}/sharded kNN: examined ratio {row['examined_ratio']} < "
                 f"{SMOKE_EXAMINED_FACTOR}"
             )
+        if smoke and topk_row["examined_ratio"] < SMOKE_TOPK_FACTOR:
+            gate_failures.append(
+                f"{dataset}/sharded top-k: examined ratio {topk_row['examined_ratio']} < "
+                f"{SMOKE_TOPK_FACTOR}"
+            )
 
     notes.append(f"host: {os.cpu_count()} cores (nproc)")
     notes.append(
         "aggregate pushdown verified against materialize-then-reduce per query "
-        "(COUNT/MIN/MAX exactly, SUM/AVG to 1e-9); kNN verified id-for-id vs brute force"
+        "(COUNT/MIN/MAX exactly, SUM/AVG to 1e-9); kNN and top-k verified id-for-id "
+        "vs brute force"
     )
     if smoke:
         if gate_failures:
@@ -319,12 +417,13 @@ def run(
         notes.append(
             f"smoke mode: asserted pushdown examines >= {SMOKE_EXAMINED_FACTOR}x fewer "
             "rows than materialize-then-reduce for COUNT/SUM/AVG, and the sharded "
-            "full-row kNN >= that factor fewer than brute force"
+            "full-row kNN >= that factor fewer than brute force; the sharded top-k "
+            f">= {SMOKE_TOPK_FACTOR}x fewer than materialise-then-select"
         )
 
     return ExperimentResult(
         experiment="agg",
-        description="Aggregate/kNN executors — pushdown vs materialize-then-reduce",
+        description="Aggregate/kNN/top-k executors — pushdown vs materialize-then-reduce",
         rows=rows,
         notes=notes,
     )

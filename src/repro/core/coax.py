@@ -59,7 +59,14 @@ from repro.core.query_translation import (
     translate_query,
 )
 from repro.core.results import QueryResult, merge_flat_row_ids, merge_row_ids, unique_ids
-from repro.data.executors import Aggregate, AggregatePartial, TopK, kth_key, merge_topk
+from repro.data.executors import (
+    Aggregate,
+    AggregatePartial,
+    TopK,
+    kth_key,
+    merge_topk,
+    narrow_topk_query,
+)
 from repro.data.predicates import Rectangle, batch_bounds
 from repro.data.table import Table
 from repro.fd.detection import DetectionConfig, FDCandidate, detect_soft_fds, evaluate_pair
@@ -865,24 +872,42 @@ class COAXIndex(MultidimensionalIndex):
         return keys, ids
 
     def topk_partial(
-        self, query: Rectangle, spec: TopK
+        self, query: Rectangle, spec: TopK, *, bound: float = math.inf
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """By-column top-k candidates merged across primary/outlier/delta."""
-        if query.is_empty:
+        """By-column top-k candidates merged across primary, outlier and delta.
+
+        The bounded search of :meth:`knn_partial` with a simpler bound:
+        the three parts are searched in that order and each one's
+        rectangle is cut on ``spec.column`` to the running k-th key of the
+        parts merged before it (or ``bound``, when tighter; see
+        :func:`~repro.data.executors.narrow_topk_query`).  The primary is
+        planned on the rectangle cut to ``bound``, so on an FD dependent
+        the Equation-2 translation narrows its predictor range as well.
+        """
+        TopK.by_column(spec.k, spec.column, spec.largest, self._columns)
+        k, largest = spec.k, spec.largest
+        narrowed = narrow_topk_query(query, spec, bound)
+        if narrowed.is_empty:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        plan = self.plan(query)
+        plan = self.plan(narrowed)
         rows_before = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
         cells_before = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
-        parts = []
+        keys = np.empty(0, dtype=np.float64)
+        ids = np.empty(0, dtype=np.int64)
         if plan.use_primary:
-            parts.append(
-                self._primary.topk_partial(plan.primary_query.intersect(query), spec)
+            keys, ids = self._primary.topk_partial(
+                plan.primary_query.intersect(narrowed), spec
             )
         if plan.use_outlier:
-            parts.append(self._outlier.topk_partial(plan.outlier_query, spec))
-        parts.append(self._delta.topk_candidates(query, spec))
-        keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
+            part = self._outlier.topk_partial(
+                narrowed, spec, bound=kth_key(keys, k, bound, largest=largest)
+            )
+            keys, ids = merge_topk([(keys, ids), part], k, largest=largest)
+        part = self._delta.topk_candidates(
+            narrowed, spec, bound=kth_key(keys, k, bound, largest=largest)
+        )
+        keys, ids = merge_topk([(keys, ids), part], k, largest=largest)
         rows_after = self._primary.stats.rows_examined + self._outlier.stats.rows_examined
         cells_after = self._primary.stats.cells_visited + self._outlier.stats.cells_visited
         self.stats.record(

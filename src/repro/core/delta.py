@@ -23,6 +23,7 @@ so persistence can round-trip an index without forcing a compaction first.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.data.executors import (
     Aggregate,
     AggregatePartial,
     TopK,
+    narrow_topk_query,
     point_distances,
     select_topk,
 )
@@ -510,9 +512,12 @@ class DeltaStore:
         return select_topk(keys, self._row_ids[: self._size], k)
 
     def topk_candidates(
-        self, query: Rectangle, spec: TopK
+        self, query: Rectangle, spec: TopK, *, bound: float = math.inf
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """By-column top-k candidates among pending rows matching ``query``."""
+        """By-column top-k candidates among pending rows matching ``query``,
+        cut on the column to the sort-key ``bound`` (see
+        :func:`repro.data.executors.narrow_topk_query`)."""
+        query = narrow_topk_query(query, spec, bound)
         if self._size == 0 or query.is_empty:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         mask = query.matches(self.columns())

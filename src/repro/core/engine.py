@@ -98,6 +98,7 @@ from repro.data.executors import (
     Aggregate,
     AggregatePartial,
     TopK,
+    box_column_key,
     box_distance_key,
     kth_key,
     merge_topk,
@@ -124,34 +125,6 @@ class EngineClosedError(RuntimeError):
     scatter races a concurrent :meth:`ShardedCOAX.close` onto an already
     shut-down worker pool.
     """
-
-
-def _stats_snapshot(stats: QueryStats) -> Tuple[int, ...]:
-    """Immutable copy of the counters a shard task may advance."""
-    return (
-        stats.queries,
-        stats.rows_examined,
-        stats.rows_matched,
-        stats.cells_visited,
-        stats.nodes_visited,
-        stats.aggregates,
-        stats.knn_queries,
-        stats.rings_expanded,
-    )
-
-
-def _stats_delta(before: Tuple[int, ...], stats: QueryStats) -> QueryStats:
-    """Counter advance of one shard between a snapshot and now."""
-    return QueryStats(
-        queries=stats.queries - before[0],
-        rows_examined=stats.rows_examined - before[1],
-        rows_matched=stats.rows_matched - before[2],
-        cells_visited=stats.cells_visited - before[3],
-        nodes_visited=stats.nodes_visited - before[4],
-        aggregates=stats.aggregates - before[5],
-        knn_queries=stats.knn_queries - before[6],
-        rings_expanded=stats.rings_expanded - before[7],
-    )
 
 
 def _stats_counters(delta: QueryStats) -> Tuple[int, ...]:
@@ -219,7 +192,7 @@ def _scatter_worker(payload):
     else:
         replica = cached[1]
     n_sub = len(sub_queries)
-    before = _stats_snapshot(replica.stats)
+    before = replica.stats.snapshot()
     local_ids, sub_qids = replica.batch_scatter_flat(
         sub_queries,
         np.arange(n_sub, dtype=np.int64),
@@ -229,7 +202,7 @@ def _scatter_worker(payload):
         use_outlier,
         n_sub,
     )
-    delta = _stats_delta(before, replica.stats)
+    delta = replica.stats.delta(before)
     return (local_ids, sub_qids, _stats_counters(delta))
 
 
@@ -260,7 +233,7 @@ def _aggregate_worker(payload):
     else:
         replica = cached[1]
     n_sub = len(sub_queries)
-    before = _stats_snapshot(replica.stats)
+    before = replica.stats.snapshot()
     partial = replica.batch_scatter_aggregate(
         sub_queries,
         np.arange(n_sub, dtype=np.int64),
@@ -271,7 +244,7 @@ def _aggregate_worker(payload):
         n_sub,
         spec,
     )
-    delta = _stats_delta(before, replica.stats)
+    delta = replica.stats.delta(before)
     return (partial.state(), _stats_counters(delta))
 
 
@@ -862,10 +835,10 @@ class ShardedCOAX(MultidimensionalIndex):
             # reader advancing the same shard's counters must not be
             # double-counted into this query's delta.
             with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
+                before = shard.stats.snapshot()
                 local_ids = shard.range_query(query)
                 parts.append(self._global_of[shard_no][local_ids])
-                shard_delta = _stats_delta(before, shard.stats)
+                shard_delta = shard.stats.delta(before)
             gathered.merge(shard_delta)
             examined_by[shard_no] = shard_delta.rows_examined
         merged = merge_row_ids(parts)
@@ -958,32 +931,9 @@ class ShardedCOAX(MultidimensionalIndex):
             bounds, n_queries, self._groups
         )
 
-        # Per-shard visibility masks: the batch form of the scalar pruning
-        # rule, evaluated as whole-batch array ops.  Each task carries the
-        # shard's pre-sliced bound matrices and planner flags, so the
-        # shard executes without re-deriving any of them.
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        pruned_per_query = np.zeros(n_queries, dtype=np.int64)
-        hits_by = np.zeros(len(self._shards), dtype=np.int64)
-        pruned_by = np.zeros(len(self._shards), dtype=np.int64)
-        for shard_no, shard in enumerate(self._shards):
-            use_primary, use_outlier = plan_query_flags(
-                bounds,
-                translated_bounds,
-                no_inlier,
-                n_queries,
-                primary_box=shard.primary_box,
-                outlier_box=shard.outlier_box,
-            )
-            visible = use_primary | use_outlier
-            if shard.n_pending:
-                visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
-            pruned_per_query += live & ~visible
-            pruned_by[shard_no] = int(np.count_nonzero(live & ~visible))
-            slots = np.flatnonzero(visible)
-            hits_by[shard_no] = len(slots)
-            if len(slots):
-                tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
+        tasks, pruned_per_query, pruned_by = self._plan_batch(
+            bounds, translated_bounds, no_inlier, live, n_queries
+        )
         shards_pruned = int(pruned_per_query.sum())
 
         def run_shard(
@@ -1003,7 +953,7 @@ class ShardedCOAX(MultidimensionalIndex):
             # range_query): concurrent readers must not double-count each
             # other's per-shard work.
             with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
+                before = shard.stats.snapshot()
                 local_ids, sub_qids = shard.batch_scatter_flat(
                     queries,
                     slots,
@@ -1014,7 +964,7 @@ class ShardedCOAX(MultidimensionalIndex):
                     len(slots),
                 )
                 global_ids = self._global_of[shard_no][local_ids]
-                delta = _stats_delta(before, shard.stats)
+                delta = shard.stats.delta(before)
             return global_ids, slots[sub_qids], delta
 
         if (
@@ -1052,43 +1002,10 @@ class ShardedCOAX(MultidimensionalIndex):
                 nodes_visited=gathered.nodes_visited,
                 shards_pruned=shards_pruned,
             )
-        if self._layout is not None:
-            # Outside the stats lock: the monitor has its own leaf lock.
-            # Sketch the *translated* partition-dim intervals when the
-            # translator produced any (those drive primary-box pruning),
-            # the original bounds otherwise.
-            examined_by = np.zeros(len(self._shards), dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
-                examined_by[task[0]] = delta.rows_examined
-            if self._partition_dim in translated_bounds:
-                part_lows, part_highs = translated_bounds[self._partition_dim]
-            elif self._partition_dim in bounds:
-                part_lows, part_highs = bounds[self._partition_dim]
-            else:
-                part_lows = np.full(n_queries, -np.inf)
-                part_highs = np.full(n_queries, np.inf)
-            self._layout.observe(
-                part_lows[live],
-                part_highs[live],
-                hits=hits_by,
-                pruned=pruned_by,
-                examined=examined_by,
-            )
+        self._observe_batch(bounds, translated_bounds, live, tasks, scattered, pruned_by)
         per_query: List[QueryStats] = []
         if attribute:
-            # Scan/directory counters accumulate per shard sub-batch; each
-            # shard's delta is attributed evenly over exactly the queries
-            # it was dispatched (tasks and scattered results are
-            # positionally aligned), so the per-query stats sum back to
-            # the batch-global counters exactly.
-            examined = np.zeros(n_queries, dtype=np.int64)
-            cells = np.zeros(n_queries, dtype=np.int64)
-            nodes = np.zeros(n_queries, dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
-                slots = task[1]
-                examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
-                cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
-                nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
+            examined, cells, nodes = self._attribute_scan(tasks, scattered, n_queries)
             per_query = [
                 QueryStats(
                     queries=int(live[i]),
@@ -1101,6 +1018,107 @@ class ShardedCOAX(MultidimensionalIndex):
                 for i in range(n_queries)
             ]
         return results, per_query
+
+    def _plan_batch(
+        self,
+        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        translated_bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        no_inlier: np.ndarray,
+        live: np.ndarray,
+        n_queries: int,
+    ) -> Tuple[List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        """Per-shard tasks of one batch, plus per-query and per-shard prunes.
+
+        The batch form of the scalar pruning rule, evaluated as whole-batch
+        array ops.  Each task ``(shard_no, slots, use_primary,
+        use_outlier)`` carries the shard's visible query slots and planner
+        flags, so the shard executes without re-deriving any of them.
+        """
+        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        pruned_per_query = np.zeros(n_queries, dtype=np.int64)
+        pruned_by = np.zeros(len(self._shards), dtype=np.int64)
+        for shard_no, shard in enumerate(self._shards):
+            use_primary, use_outlier = plan_query_flags(
+                bounds,
+                translated_bounds,
+                no_inlier,
+                n_queries,
+                primary_box=shard.primary_box,
+                outlier_box=shard.outlier_box,
+            )
+            visible = use_primary | use_outlier
+            if shard.n_pending:
+                visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
+            pruned = live & ~visible
+            pruned_per_query += pruned
+            pruned_by[shard_no] = int(np.count_nonzero(pruned))
+            slots = np.flatnonzero(visible)
+            if len(slots):
+                tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
+        return tasks, pruned_per_query, pruned_by
+
+    def _observe_batch(
+        self,
+        bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        translated_bounds: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        live: np.ndarray,
+        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        scattered: List[Tuple],
+        pruned_by: np.ndarray,
+    ) -> None:
+        """Sketch one scattered batch into the layout monitor, if any.
+
+        Called outside the stats lock: the monitor has its own leaf lock.
+        The *translated* partition-dim intervals are sketched when the
+        translator produced any (those drive primary-box pruning), the
+        original bounds otherwise; the per-shard counters come from the
+        tasks and their stats deltas (the last item of each scattered
+        result, positionally aligned with ``tasks``).
+        """
+        if self._layout is None:
+            return
+        hits_by = np.zeros(len(self._shards), dtype=np.int64)
+        examined_by = np.zeros(len(self._shards), dtype=np.int64)
+        for task, result in zip(tasks, scattered):
+            hits_by[task[0]] = len(task[1])
+            examined_by[task[0]] = result[-1].rows_examined
+        if self._partition_dim in translated_bounds:
+            part_lows, part_highs = translated_bounds[self._partition_dim]
+        elif self._partition_dim in bounds:
+            part_lows, part_highs = bounds[self._partition_dim]
+        else:
+            part_lows = np.full(len(live), -np.inf)
+            part_highs = np.full(len(live), np.inf)
+        self._layout.observe(
+            part_lows[live],
+            part_highs[live],
+            hits=hits_by,
+            pruned=pruned_by,
+            examined=examined_by,
+        )
+
+    @staticmethod
+    def _attribute_scan(
+        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        scattered: List[Tuple],
+        n_queries: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-query rows examined, cells and nodes of one scattered batch.
+
+        Scan/directory counters accumulate per shard sub-batch; each
+        shard's delta is attributed evenly over exactly the queries it was
+        dispatched, so the per-query stats sum back to the batch-global
+        counters exactly.
+        """
+        examined = np.zeros(n_queries, dtype=np.int64)
+        cells = np.zeros(n_queries, dtype=np.int64)
+        nodes = np.zeros(n_queries, dtype=np.int64)
+        for task, result in zip(tasks, scattered):
+            slots, delta = task[1], result[-1]
+            examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
+            cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
+            nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
+        return examined, cells, nodes
 
     def _scatter_processes(
         self,
@@ -1256,24 +1274,9 @@ class ShardedCOAX(MultidimensionalIndex):
 
         # Identical shard visibility/pruning to the materialising path —
         # the executors differ only in what crosses the gather boundary.
-        tasks: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        pruned_per_query = np.zeros(n_queries, dtype=np.int64)
-        for shard_no, shard in enumerate(self._shards):
-            use_primary, use_outlier = plan_query_flags(
-                bounds,
-                translated_bounds,
-                no_inlier,
-                n_queries,
-                primary_box=shard.primary_box,
-                outlier_box=shard.outlier_box,
-            )
-            visible = use_primary | use_outlier
-            if shard.n_pending:
-                visible |= live & batch_overlaps_box(bounds, n_queries, shard.delta.box)
-            pruned_per_query += live & ~visible
-            slots = np.flatnonzero(visible)
-            if len(slots):
-                tasks.append((shard_no, slots, use_primary[slots], use_outlier[slots]))
+        tasks, pruned_per_query, pruned_by = self._plan_batch(
+            bounds, translated_bounds, no_inlier, live, n_queries
+        )
         shards_pruned = int(pruned_per_query.sum())
 
         def run_shard(
@@ -1290,7 +1293,7 @@ class ShardedCOAX(MultidimensionalIndex):
                 for dim, (lows, highs) in translated_bounds.items()
             }
             with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
+                before = shard.stats.snapshot()
                 sub_partial = shard.batch_scatter_aggregate(
                     queries,
                     slots,
@@ -1301,7 +1304,7 @@ class ShardedCOAX(MultidimensionalIndex):
                     len(slots),
                     spec,
                 )
-                delta = _stats_delta(before, shard.stats)
+                delta = shard.stats.delta(before)
             return sub_partial, slots, delta
 
         if (
@@ -1329,16 +1332,10 @@ class ShardedCOAX(MultidimensionalIndex):
                 shards_pruned=shards_pruned,
                 aggregates=n_queries,
             )
+        self._observe_batch(bounds, translated_bounds, live, tasks, scattered, pruned_by)
         per_query: List[QueryStats] = []
         if attribute:
-            examined = np.zeros(n_queries, dtype=np.int64)
-            cells = np.zeros(n_queries, dtype=np.int64)
-            nodes = np.zeros(n_queries, dtype=np.int64)
-            for task, (_, _, delta) in zip(tasks, scattered):
-                slots = task[1]
-                examined[slots] += split_counter_evenly(delta.rows_examined, len(slots))
-                cells[slots] += split_counter_evenly(delta.cells_visited, len(slots))
-                nodes[slots] += split_counter_evenly(delta.nodes_visited, len(slots))
+            examined, cells, nodes = self._attribute_scan(tasks, scattered, n_queries)
             per_query = [
                 QueryStats(
                     queries=int(live[i]),
@@ -1413,12 +1410,12 @@ class ShardedCOAX(MultidimensionalIndex):
         bound: float = math.inf,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """k nearest global ids: a bounded best-first search over the shards
-        (see :meth:`_knn_locked`); rows keyed above ``bound`` may be left
-        out, as for any index's ``knn_partial``."""
+        (see :meth:`_best_first_locked`); rows keyed above ``bound`` may be
+        left out, as for any index's ``knn_partial``."""
         self._check_open()
         spec = TopK.knn(point, k, metric, self._table.schema)
         with self._maintenance_guard():
-            keys, ids, _ = self._knn_locked(spec, bound)
+            keys, ids, _ = self._best_first_locked(spec, None, bound)
         return keys, ids
 
     def knn_attributed(
@@ -1428,52 +1425,103 @@ class ShardedCOAX(MultidimensionalIndex):
         self._check_open()
         spec = TopK.knn(point, k, metric, self._table.schema)
         with self._maintenance_guard():
-            _, ids, record = self._knn_locked(spec, math.inf)
+            _, ids, record = self._best_first_locked(spec, None, math.inf)
         return ids, record
 
-    def _knn_locked(
-        self, spec: TopK, bound: float
+    def topk_partial(
+        self, query: Rectangle, spec: TopK, *, bound: float = math.inf
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """By-column top-k within a rectangle: the bounded best-first search
+        of :meth:`_best_first_locked`; rows keyed beyond the sort-key
+        ``bound`` may be left out, as for any index's ``topk_partial``."""
+        self._check_open()
+        TopK.by_column(spec.k, spec.column, spec.largest, self._table.schema)
+        with self._maintenance_guard():
+            keys, ids, _ = self._best_first_locked(spec, query, bound)
+        return keys, ids
+
+    def topk_attributed(
+        self, query: Rectangle, spec: TopK
+    ) -> Tuple[np.ndarray, QueryStats]:
+        """Top-k result ids plus the query's own :class:`QueryStats`."""
+        self._check_open()
+        TopK.by_column(spec.k, spec.column, spec.largest, self._table.schema)
+        with self._maintenance_guard():
+            _, ids, record = self._best_first_locked(spec, query, math.inf)
+        return ids, record
+
+    def _best_first_locked(
+        self, spec: TopK, query: Optional[Rectangle], bound: float
     ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        # Best-first over shards: each shard's hulls (primary, outlier and,
-        # with pending rows, delta) give the smallest key any of its live
-        # rows can have.  Shards run in ascending order of that bound and
-        # each receives the running k-th key as its own bound, so the
-        # nearest shard's answer lets the others cut their search.  Once k
-        # candidates exist a shard whose bound is strictly above the k-th
-        # key holds no answer row and is skipped; on equality it is still
-        # visited, since a tied row with a smaller global id must win.
-        # The shards run serially by design: the carried bound is what
-        # prunes, and a shard started in parallel would not have it.
-        # Local id order equals global id order within a shard, so a
-        # shard's own truncation never drops a tie winner.
-        point, k, metric = dict(spec.point), spec.k, spec.metric
-        shard_bounds = [
-            min(
-                box_distance_key(point, shard.primary_box, metric),
-                box_distance_key(point, shard.outlier_box, metric),
-                box_distance_key(point, shard.delta.box, metric)
-                if shard.n_pending
-                else math.inf,
+        # One search for kNN and by-column top-k.  Each shard's hulls
+        # (primary, outlier and, with pending rows, delta) give the
+        # smallest key any of its live rows can have: the distance to the
+        # hulls for kNN, the hull edge on the ranking column for top-k
+        # (in select_topk's key space, negated for ``largest``).  Top-k
+        # first drops the shards the rectangle cannot touch.  Shards run
+        # in ascending order of that bound and each receives the running
+        # k-th key as its own bound, so the first shard's answer lets the
+        # others cut their search.  Once k candidates exist a shard whose
+        # bound is strictly beyond the k-th key holds no answer row and is
+        # skipped; on equality it is still visited, since a tied row with
+        # a smaller global id must win.  The shards run serially by
+        # design: the carried bound is what prunes, and a shard started in
+        # parallel would not have it.  Local id order equals global id
+        # order within a shard, so a shard's own truncation never drops a
+        # tie winner.
+        k, largest = spec.k, spec.largest
+        if spec.is_knn:
+            point, metric = dict(spec.point), spec.metric
+            candidates = list(range(len(self._shards)))
+
+            def hull_key(box) -> float:
+                return box_distance_key(point, box, metric)
+
+            def search(shard: COAXIndex, kth: float):
+                return shard.knn_partial(point, k, metric=metric, bound=kth)
+
+        else:
+            if query.is_empty:
+                record = QueryStats(queries=1, knn_queries=1)
+                with self._stats_lock:
+                    self.stats.merge(record)
+                return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), record
+            visits = self._scalar_visit_mask(query, translate_query(query, self._groups))
+            candidates = [shard_no for shard_no, visible in enumerate(visits) if visible]
+
+            def hull_key(box) -> float:
+                return box_column_key(box, spec.column, largest)
+
+            def search(shard: COAXIndex, kth: float):
+                return shard.topk_partial(query, spec, bound=kth)
+
+        def shard_bound(shard: COAXIndex) -> float:
+            delta_box = shard.delta.box if shard.n_pending else None
+            return min(
+                hull_key(shard.primary_box),
+                hull_key(shard.outlier_box),
+                hull_key(delta_box),
             )
-            for shard in self._shards
-        ]
-        order = sorted(range(len(self._shards)), key=shard_bounds.__getitem__)
+
+        shard_bounds = {no: shard_bound(self._shards[no]) for no in candidates}
         gathered = QueryStats()
         keys = np.empty(0, dtype=np.float64)
         ids = np.empty(0, dtype=np.int64)
         visited = 0
-        for shard_no in order:
-            kth = kth_key(keys, k, bound)
+        for shard_no in sorted(candidates, key=shard_bounds.__getitem__):
+            kth = kth_key(keys, k, bound, largest=largest)
             if shard_bounds[shard_no] > kth:
                 break  # every later shard's bound is at least as large
             visited += 1
             shard = self._shards[shard_no]
             with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                part_keys, local_ids = shard.knn_partial(point, k, metric=metric, bound=kth)
+                before = shard.stats.snapshot()
+                part_keys, local_ids = search(shard, kth)
                 part_ids = self._global_of[shard_no][local_ids]
-                gathered.merge(_stats_delta(before, shard.stats))
-            keys, ids = merge_topk([(keys, ids), (part_keys, part_ids)], k)
+                gathered.merge(shard.stats.delta(before))
+            keys, ids = merge_topk(
+                [(keys, ids), (part_keys, part_ids)], k, largest=largest
+            )
         record = QueryStats(
             queries=1,
             rows_examined=gathered.rows_examined,
@@ -1483,60 +1531,6 @@ class ShardedCOAX(MultidimensionalIndex):
             shards_pruned=len(self._shards) - visited,
             knn_queries=1,
             rings_expanded=gathered.rings_expanded,
-        )
-        with self._stats_lock:
-            self.stats.merge(record)
-        return keys, ids, record
-
-    def topk_partial(
-        self, query: Rectangle, spec: TopK
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """By-column top-k within a rectangle, with shard pruning."""
-        self._check_open()
-        with self._maintenance_guard():
-            keys, ids, _ = self._topk_locked(query, spec)
-        return keys, ids
-
-    def topk_attributed(
-        self, query: Rectangle, spec: TopK
-    ) -> Tuple[np.ndarray, QueryStats]:
-        """Top-k result ids plus the query's own :class:`QueryStats`."""
-        self._check_open()
-        with self._maintenance_guard():
-            _, ids, record = self._topk_locked(query, spec)
-        return ids, record
-
-    def _topk_locked(
-        self, query: Rectangle, spec: TopK
-    ) -> Tuple[np.ndarray, np.ndarray, QueryStats]:
-        empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
-        if query.is_empty:
-            record = QueryStats(queries=1, knn_queries=1)
-            with self._stats_lock:
-                self.stats.merge(record)
-            return empty[0], empty[1], record
-        translated = translate_query(query, self._groups)
-        visits = self._scalar_visit_mask(query, translated)
-        gathered = QueryStats()
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for shard_no, visible in enumerate(visits):
-            if not visible:
-                continue
-            shard = self._shards[shard_no]
-            with shard.write_lock:
-                before = _stats_snapshot(shard.stats)
-                keys, local_ids = shard.topk_partial(query, spec)
-                parts.append((keys, self._global_of[shard_no][local_ids]))
-                gathered.merge(_stats_delta(before, shard.stats))
-        keys, ids = merge_topk(parts, spec.k, largest=spec.largest)
-        record = QueryStats(
-            queries=1,
-            rows_examined=gathered.rows_examined,
-            rows_matched=len(ids),
-            cells_visited=gathered.cells_visited,
-            nodes_visited=gathered.nodes_visited,
-            shards_pruned=len(self._shards) - sum(visits),
-            knn_queries=1,
         )
         with self._stats_lock:
             self.stats.merge(record)

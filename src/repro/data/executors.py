@@ -13,10 +13,13 @@ splits "which rows match" from "what the query consumes":
   partials component-wise, so an aggregate moves O(queries) accumulator
   data through the scatter-gather machinery instead of O(rows) ids.
 * :class:`TopK` — either k-nearest-neighbour by L2/L∞ distance around a
-  point (answered by a bounded best-first search over the shards and the
-  grid directory), or
-  the k smallest/largest rows by a column within a rectangle.  Partial
-  results are small ``(key, row_id)`` candidate sets merged with
+  point, or the k smallest/largest rows by a column within a rectangle.
+  Both are answered by one bounded best-first search over the shards
+  that carries the running k-th key (:func:`kth_key`) into every part:
+  kNN bounds a part by its hulls' distance (:func:`box_distance_key`),
+  top-k by its hulls' edge on the column (:func:`box_column_key`) and
+  cuts each part's rectangle to the key (:func:`narrow_topk_query`).
+  Partial results are small ``(key, row_id)`` candidate sets merged with
   :func:`merge_topk`; ties always break toward the smaller row id.
 
 The specs are declarative and layer-agnostic (NumPy only), which is why
@@ -33,6 +36,8 @@ from typing import Collection, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.data.predicates import Interval, Rectangle
+
 __all__ = [
     "AGGREGATE_OPS",
     "METRIC_CHOICES",
@@ -46,8 +51,10 @@ __all__ = [
     "select_topk",
     "merge_topk",
     "kth_key",
+    "narrow_topk_query",
     "point_distances",
     "box_distance_key",
+    "box_column_key",
 ]
 
 #: Aggregate operations the :class:`Aggregate` executor supports.
@@ -151,6 +158,27 @@ class TopK:
         unknown = [dim for dim in point if dim not in attributes]
         if unknown:
             raise ValueError(f"kNN point names unknown attributes {unknown}")
+        return spec
+
+    @classmethod
+    def by_column(
+        cls,
+        k: int,
+        column: str,
+        largest: bool,
+        attributes: Collection[str],
+    ) -> "TopK":
+        """Validated by-column top-k spec over a structure holding ``attributes``.
+
+        The by-column twin of :meth:`knn`: an integer ``k >= 1``, a
+        boolean ``largest`` and a ``column`` the structure stores.  Each
+        failure is a :class:`ValueError`.
+        """
+        spec = cls(k, column=column, largest=largest)
+        if not isinstance(largest, (bool, np.bool_)):
+            raise ValueError(f"largest must be a bool, got {largest!r}")
+        if column not in attributes:
+            raise ValueError(f"top-k column {column!r} is not a known attribute")
         return spec
 
     @property
@@ -365,15 +393,43 @@ def merge_topk(
     return select_topk(keys, ids, k, largest=largest)
 
 
-def kth_key(keys: np.ndarray, k: int, bound: float = math.inf) -> float:
-    """The key a further kNN candidate must not exceed to matter.
+def kth_key(
+    keys: np.ndarray, k: int, bound: float = math.inf, *, largest: bool = False
+) -> float:
+    """The key a further top-k or kNN candidate must not exceed to matter.
 
     ``keys`` are the ordered keys of a running top-k; the answer is the
     smaller of ``bound`` and the k-th key (``bound`` itself while fewer
     than k candidates exist).  A row keyed strictly above it cannot enter
     the answer; one keyed equal to it still can, by the row-id tie-break.
+    Bounds live in :func:`select_topk`'s sort-key space, so with
+    ``largest`` the k-th key is the negated k-th value.
     """
-    return min(bound, float(keys[k - 1])) if len(keys) >= k else bound
+    if len(keys) < k:
+        return bound
+    kth = float(keys[k - 1])
+    return min(bound, -kth if largest else kth)
+
+
+def narrow_topk_query(query: Rectangle, spec: TopK, bound: float) -> Rectangle:
+    """``query`` cut on ``spec.column`` to the rows a bounded top-k can use.
+
+    ``bound`` is a sort-key bound (see :func:`kth_key`): the cut keeps
+    ``column <= bound``, or ``column >= -bound`` with ``largest``.  The
+    bound itself stays inside, because a row tied with the k-th key still
+    wins on a smaller row id.  The cut is exact — the top-k of a
+    rectangle equals the top-k of its rows keyed within the k-th key —
+    and, on an FD dependent, Equation-2 translation of the cut rectangle
+    narrows the predictor range too.
+    """
+    if bound == math.inf:
+        return query
+    interval = query.interval(spec.column)
+    if spec.largest:
+        cut = Interval(max(interval.low, -bound), interval.high)
+    else:
+        cut = Interval(interval.low, min(interval.high, bound))
+    return query.with_interval(spec.column, cut)
 
 
 def point_distances(
@@ -443,3 +499,20 @@ def box_distance_key(
         else:
             key = max(key, gap)
     return key
+
+
+def box_column_key(
+    box: Optional[Tuple[Mapping[str, float], Mapping[str, float]]],
+    column: str,
+    largest: bool,
+) -> float:
+    """Smallest sort key any row inside ``box`` can have on ``column``.
+
+    The hull edge in :func:`select_topk`'s key space: the box's low on
+    ``column``, or the negated high with ``largest``.  ``None`` (no rows)
+    is ``inf``.  The by-column twin of :func:`box_distance_key`.
+    """
+    if box is None:
+        return math.inf
+    lows, highs = box
+    return -float(highs[column]) if largest else float(lows[column])

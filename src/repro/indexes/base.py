@@ -48,6 +48,7 @@ from repro.data.executors import (
     AggregatePartial,
     Executor,
     TopK,
+    narrow_topk_query,
     point_distances,
     select_topk,
 )
@@ -650,14 +651,28 @@ class MultidimensionalIndex(ABC):
         return select_topk(keys, ids, k)
 
     def topk(self, query: Rectangle, spec: TopK) -> np.ndarray:
-        """Row ids of the k smallest/largest matching rows by ``spec.column``."""
+        """Row ids of the k smallest/largest matching rows by ``spec.column``.
+
+        Ordered by ``(key, row_id)`` (descending key with ``largest``).  A
+        ``k`` below 1, a non-boolean ``largest`` or a column the index does
+        not store raises :class:`ValueError`.
+        """
         _, ids = self.topk_partial(query, spec)
         return ids
 
     def topk_partial(
-        self, query: Rectangle, spec: TopK
+        self, query: Rectangle, spec: TopK, *, bound: float = math.inf
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Local by-column top-k candidates as a mergeable ``(keys, ids)`` pair."""
+        """Local by-column top-k candidates as a mergeable ``(keys, ids)`` pair.
+
+        ``bound`` is a sort key (see :func:`~repro.data.executors.kth_key`)
+        some other subset already holds k candidates within; the query is
+        cut on ``spec.column`` to it first
+        (:func:`~repro.data.executors.narrow_topk_query`), so rows keyed
+        beyond it are never gathered.
+        """
+        TopK.by_column(spec.k, spec.column, spec.largest, self._columns)
+        query = narrow_topk_query(query, spec, bound)
         if query.is_empty or self.n_rows == 0:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from repro.data.executors import Aggregate, AggregatePartial, TopK
+from repro.data.executors import Aggregate, AggregatePartial, TopK, narrow_topk_query
 from repro.data.predicates import Rectangle
 from repro.indexes.base import MultidimensionalIndex, register_index
 
@@ -108,8 +108,14 @@ class FullScanIndex(MultidimensionalIndex):
         order = np.lexsort((ids, keys))[:k]
         return keys[order], ids[order]
 
-    def topk_partial(self, query: Rectangle, spec: TopK):
-        """First-principles by-column top-k: mask, gather, one exact sort."""
+    def topk_partial(self, query: Rectangle, spec: TopK, *, bound: float = math.inf):
+        """First-principles by-column top-k: mask, gather, one exact sort.
+
+        A finite ``bound`` cuts the rectangle on the column first, as on
+        every index; the oracle runs with the default ``inf``.
+        """
+        TopK.by_column(spec.k, spec.column, spec.largest, self._columns)
+        query = narrow_topk_query(query, spec, bound)
         if query.is_empty or self.n_rows == 0:
             self.stats.record(knn_queries=1)
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)

@@ -12,8 +12,11 @@ loop.
 Failure semantics: an :class:`~repro.core.engine.EngineClosedError` (the
 engine is being torn down under the server) resolves every future of the
 batch with that typed error so connection handlers can answer
-``shutting_down``; any other exception resolves them with the raw error
-(answered as ``internal``).  Futures abandoned between flush and
+``shutting_down``; a top-k/kNN entry the engine rejects with
+``ValueError`` (an unknown column or attribute) resolves that entry alone
+with a :class:`~repro.serve.protocol.ProtocolError` (``bad_request``);
+any other exception resolves them with the raw error (answered as
+``internal``).  Futures abandoned between flush and
 completion (client disconnected mid-batch) are skipped — the batch result
 of everyone else is unaffected.
 """
@@ -23,19 +26,21 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.data.executors import MATERIALIZE
 from repro.indexes.base import QueryStats
 from repro.serve.coalescer import PendingQuery
+from repro.serve.protocol import ProtocolError
 
 __all__ = ["EngineDispatcher"]
 
 #: One resolved query as the connection writer consumes it:
-#: ``(row_ids_or_None, value_or_None, stats, server_meta)``.
-_Resolved = Tuple[Optional[np.ndarray], Optional[float], QueryStats, dict]
+#: ``(row_ids_or_None, value_or_None, stats, server_meta)``, or the
+#: :class:`ProtocolError` of an entry the engine rejected as malformed.
+_Resolved = Union[Tuple[Optional[np.ndarray], Optional[float], QueryStats, dict], ProtocolError]
 
 
 class EngineDispatcher:
@@ -108,12 +113,19 @@ class EngineDispatcher:
         elif kind == "topk":
             for entry in batch:
                 spec = entry.executor
-                if spec.is_knn:
-                    ids, query_stats = self._engine.knn_attributed(
-                        spec.point, spec.k, metric=spec.metric
-                    )
-                else:
-                    ids, query_stats = self._engine.topk_attributed(entry.query, spec)
+                try:
+                    if spec.is_knn:
+                        ids, query_stats = self._engine.knn_attributed(
+                            spec.point, spec.k, metric=spec.metric
+                        )
+                    else:
+                        ids, query_stats = self._engine.topk_attributed(entry.query, spec)
+                except ValueError as exc:
+                    # The engine validates top-k/kNN input against its
+                    # schema (an unknown column or attribute) before any
+                    # work: that entry alone is a bad request.
+                    resolved.append(ProtocolError(str(exc)))
+                    continue
                 resolved.append((ids, None, query_stats, {}))
         else:
             results, stats = self._engine.batch_range_query_attributed(
@@ -149,8 +161,13 @@ class EngineDispatcher:
         self.batches += 1
         self.queries += len(batch)
         n_batched = len(batch)
-        for entry, (row_ids, value, query_stats, _) in zip(batch, resolved):
-            if not entry.future.done():
+        for entry, outcome in zip(batch, resolved):
+            if entry.future.done():
+                continue
+            if isinstance(outcome, ProtocolError):
+                entry.future.set_exception(outcome)
+            else:
+                row_ids, value, query_stats, _ = outcome
                 meta = {
                     "batched": n_batched,
                     "wait_us": round(max(started - entry.offered_at, 0.0) * 1e6)

@@ -282,12 +282,24 @@ class TestAgg:
         assert len(sharded) == 2
         for row in sharded:
             assert row["examined_ratio"] >= agg.SMOKE_EXAMINED_FACTOR
+        topk = [row for row in result.rows if row["workload"].startswith("topk:")]
+        assert len(topk) == 2
+        for row in topk:
+            assert (
+                row["pushdown_rows_examined"] * agg.SMOKE_TOPK_FACTOR
+                <= row["materialize_rows_examined"]
+            )
 
     def test_smoke_gate_raises_on_regression(self, monkeypatch):
         # Forcing the gate factor sky-high must trip the AssertionError —
         # proving the CI step actually fails on a pushdown regression.
         monkeypatch.setattr(agg, "SMOKE_EXAMINED_FACTOR", float("inf"))
         with pytest.raises(AssertionError, match="examined-rows gate"):
+            agg.run(smoke=True)
+
+    def test_smoke_topk_gate_raises_on_regression(self, monkeypatch):
+        monkeypatch.setattr(agg, "SMOKE_TOPK_FACTOR", float("inf"))
+        with pytest.raises(AssertionError, match="sharded top-k"):
             agg.run(smoke=True)
 
 

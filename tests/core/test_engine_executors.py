@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, LayoutConfig
 from repro.core.engine import ShardedCOAX
 from repro.data.executors import AGGREGATE_OPS, Aggregate, TopK
 from repro.data.predicates import Interval, Rectangle
@@ -165,3 +165,25 @@ def test_engine_stats_count_ops(table, queries):
         assert engine.stats.aggregates == before
     finally:
         engine.close()
+
+
+def test_batch_aggregate_feeds_the_layout_sketch(table, queries):
+    # Aggregate traffic drives re-layout like range traffic: the same
+    # partition-dim intervals and per-shard hit/prune counters, and the
+    # rows the aggregate itself examined.
+    config = EngineConfig(n_shards=4, layout=LayoutConfig(enabled=True))
+    by_range = ShardedCOAX(table, config=config)
+    by_aggregate = ShardedCOAX(table, config=config)
+    try:
+        by_range.batch_range_query(queries)
+        before = by_aggregate.stats.snapshot()
+        by_aggregate.batch_aggregate(queries, Aggregate("min", "v"))
+        work = by_aggregate.stats.delta(before)
+        want, got = by_range.layout.counters(), by_aggregate.layout.counters()
+        assert by_aggregate.layout.observed == by_range.layout.observed > 0
+        assert np.array_equal(got["hits"], want["hits"]) and got["hits"].sum() > 0
+        assert np.array_equal(got["pruned"], want["pruned"])
+        assert got["rows_examined"].sum() == work.rows_examined > 0
+    finally:
+        by_range.close()
+        by_aggregate.close()

@@ -1,7 +1,8 @@
 """Serving the operator executors: wire protocol, coalescing, end to end.
 
 Covers the `op` dispatch surface: request round trips for all five ops,
-the typed ``bad_request`` for unknown ops (connection survives), executor
+the typed ``bad_request`` for unknown ops and for a top-k column or kNN
+attribute the engine does not store (connection survives), executor
 grouping in the coalescer, and served aggregate/kNN/top-k answers checked
 against the engine queried directly.
 """
@@ -177,6 +178,22 @@ def test_unknown_op_answers_bad_request_and_connection_survives(engine):
 
     count = asyncio.run(scenario())
     assert count == engine.aggregate(RANGE_QUERY, Aggregate("count", None))
+
+
+def test_unknown_topk_column_answers_bad_request_and_connection_survives(engine):
+    # The wire decodes the spec fine; the engine rejects the column with a
+    # ValueError, which reaches the client as a typed bad_request.
+    async def scenario():
+        async with CoalescingQueryServer(engine) as server:
+            async with await ServeClient.connect("127.0.0.1", server.port) as client:
+                with pytest.raises(RemoteBadRequestError, match="Nope"):
+                    await client.topk(RANGE_QUERY, TopK(3, column="Nope"))
+                with pytest.raises(RemoteBadRequestError, match="unknown attributes"):
+                    await client.knn({"Nope": 1.0}, 3)
+                return await client.topk(RANGE_QUERY, TopK(3, column="AirTime"))
+
+    got = asyncio.run(scenario())
+    assert np.array_equal(got, engine.topk(RANGE_QUERY, TopK(3, column="AirTime")))
 
 
 def test_pipelined_mixed_ops_answer_in_order(engine):
